@@ -1,6 +1,7 @@
 package crosslayer_test
 
 import (
+	"context"
 	"net/netip"
 	"testing"
 
@@ -161,10 +162,10 @@ func TestEngineDispatchAllocs(t *testing.T) {
 	const trials = 1024
 	j := engine.Job{Items: trials, ShardSize: 1, Seed: 1, Parallelism: 1}
 	allocs := testing.AllocsPerRun(10, func() {
-		out := engine.RunWorkers(j, func() *struct{} { return nil },
+		out, err := engine.RunWorkersCtx(context.Background(), j, func() *struct{} { return nil },
 			func(_ *struct{}, sh engine.Shard) int { return sh.Start })
-		if len(out) != trials {
-			t.Fatalf("%d results", len(out))
+		if err != nil || len(out) != trials {
+			t.Fatalf("%d results (%v)", len(out), err)
 		}
 	})
 	if perTrial := allocs / trials; perTrial > 0.1 {

@@ -70,8 +70,8 @@ func BenchmarkTable2Middleboxes(b *testing.B) {
 func BenchmarkTable3Resolvers(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, res := measure.Table3(40, int64(i)); len(res) != 9 {
-			b.Fatal("datasets missing")
+		if _, res, err := measure.Table3Run(context.Background(), measure.Config{SampleCap: 40, Seed: int64(i)}); err != nil || len(res) != 9 {
+			b.Fatalf("datasets missing (%v)", err)
 		}
 	}
 }
@@ -79,8 +79,8 @@ func BenchmarkTable3Resolvers(b *testing.B) {
 func BenchmarkTable4Domains(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, res := measure.Table4(30, int64(i)); len(res) != 10 {
-			b.Fatal("datasets missing")
+		if _, res, err := measure.Table4Run(context.Background(), measure.Config{SampleCap: 30, Seed: int64(i)}); err != nil || len(res) != 10 {
+			b.Fatalf("datasets missing (%v)", err)
 		}
 	}
 }
@@ -138,8 +138,8 @@ func parallelismLevels() []int {
 func BenchmarkTable5ANYCaching(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, res := measure.Table5(int64(i)); len(res) != 5 {
-			b.Fatal("profiles missing")
+		if _, res, err := measure.Table5Run(context.Background(), measure.Config{Seed: int64(i)}); err != nil || len(res) != 5 {
+			b.Fatalf("profiles missing (%v)", err)
 		}
 	}
 }
@@ -147,9 +147,9 @@ func BenchmarkTable5ANYCaching(b *testing.B) {
 func BenchmarkTable6Comparison(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		cmp := measure.RunComparison(int64(i), 800)
-		if !cmp.Hijack.Success || !cmp.FragGlobal.Success {
-			b.Fatal("deterministic attacks failed")
+		cmp, err := measure.RunComparison(context.Background(), measure.Config{Seed: int64(i)}, 800)
+		if err != nil || !cmp.Hijack.Success || !cmp.FragGlobal.Success {
+			b.Fatalf("deterministic attacks failed (%v)", err)
 		}
 	}
 }
@@ -162,7 +162,7 @@ func BenchmarkTable6Comparison(b *testing.B) {
 func BenchmarkCampaign(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := campaign.Run(campaign.Config{
+		res, err := campaign.RunContext(context.Background(), campaign.Config{
 			Exec: measure.Config{Seed: int64(i)},
 			Filter: campaign.Filter{Victims: []string{"web"}, Profiles: []string{"bind"},
 				ChainDepths: []string{"0"}, Placements: []string{"stub"},
@@ -188,7 +188,7 @@ func BenchmarkCampaign(b *testing.B) {
 func BenchmarkCampaignLattice(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := campaign.Run(campaign.Config{
+		res, err := campaign.RunContext(context.Background(), campaign.Config{
 			Exec: measure.Config{Seed: int64(i)},
 			Filter: campaign.Filter{Methods: []string{"hijack"},
 				Victims: []string{"web"}, Profiles: []string{"bind"},
@@ -216,7 +216,7 @@ func BenchmarkCampaignLattice(b *testing.B) {
 func BenchmarkCampaignChain(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := campaign.Run(campaign.Config{
+		res, err := campaign.RunContext(context.Background(), campaign.Config{
 			Exec: measure.Config{Seed: int64(i)},
 			Filter: campaign.Filter{Victims: []string{"web"}, Profiles: []string{"bind"},
 				Defenses: []string{"none"}, Transports: []string{"udp"}},
@@ -239,7 +239,7 @@ func BenchmarkCampaignChain(b *testing.B) {
 // simulation) to see that building structured Reports instead of
 // formatted text adds no measurable cost.
 func BenchmarkReportRender(b *testing.B) {
-	cells, err := campaign.Run(campaign.Config{
+	cells, err := campaign.RunContext(context.Background(), campaign.Config{
 		Exec: measure.Config{Seed: 1},
 		Filter: campaign.Filter{Victims: []string{"web"}, Profiles: []string{"bind"},
 			ChainDepths: []string{"0"}, Placements: []string{"stub"},
@@ -253,7 +253,7 @@ func BenchmarkReportRender(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		for _, rep := range []crosslayer.TableResult{
+		for _, rep := range []*crosslayer.Report{
 			campaign.Matrix(cells), campaign.Summary(cells),
 			campaign.DepthTable(cells), campaign.TransportTable(cells), campaign.Lattice(cells),
 		} {
@@ -302,9 +302,9 @@ func BenchmarkFigure2FragDNS(b *testing.B) {
 func BenchmarkFigure3Prefixes(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		out, _ := measure.Figure3(60, int64(i))
-		if len(out) == 0 {
-			b.Fatal("empty figure")
+		rep, _, err := measure.Figure3Run(context.Background(), measure.Config{SampleCap: 60, Seed: int64(i)})
+		if err != nil || len(rep.String()) == 0 {
+			b.Fatalf("empty figure (%v)", err)
 		}
 	}
 }
@@ -312,9 +312,9 @@ func BenchmarkFigure3Prefixes(b *testing.B) {
 func BenchmarkFigure4EDNS(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		out, _, _ := measure.Figure4(60, int64(i))
-		if len(out) == 0 {
-			b.Fatal("empty figure")
+		rep, _, _, err := measure.Figure4Run(context.Background(), measure.Config{SampleCap: 60, Seed: int64(i)})
+		if err != nil || len(rep.String()) == 0 {
+			b.Fatalf("empty figure (%v)", err)
 		}
 	}
 }
@@ -322,9 +322,9 @@ func BenchmarkFigure4EDNS(b *testing.B) {
 func BenchmarkFigure5Venn(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		out, rv, _ := measure.Figure5(40, int64(i))
-		if len(out) == 0 || rv.Total() == 0 {
-			b.Fatal("empty venn")
+		rep, rv, _, err := measure.Figure5Run(context.Background(), measure.Config{SampleCap: 40, Seed: int64(i)})
+		if err != nil || len(rep.String()) == 0 || rv.Total() == 0 {
+			b.Fatalf("empty venn (%v)", err)
 		}
 	}
 }

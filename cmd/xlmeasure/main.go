@@ -81,6 +81,7 @@ import (
 	"strings"
 
 	"crosslayer"
+	"crosslayer/internal/report"
 )
 
 // sequenceDemos are the figures that are message sequences, not
@@ -186,28 +187,45 @@ func xlmain() int {
 		return 0
 	}
 
+	// The filter flags parse once: empty means the full axis, and a
+	// value with no usable key (",") fails like an unknown key would.
+	base := crosslayer.ExperimentSpec{
+		SampleCap:   *n,
+		Seed:        *seed,
+		Parallelism: *parallel,
+		ShardSize:   *shardSize,
+		SadPorts:    *sadPorts,
+		Trials:      *trials,
+		LatticeRank: *latticeRank,
+		Downgrade:   *downgrade,
+	}
+	for _, f := range []struct {
+		name string
+		val  string
+		dst  *[]string
+	}{
+		{"methods", *methods, &base.Methods},
+		{"victims", *victims, &base.Victims},
+		{"profiles", *profiles, &base.Profiles},
+		{"defenses", *defenses, &base.Defenses},
+		{"defense-sets", *defenseSets, &base.DefenseSets},
+		{"chain-depths", *chainDepths, &base.ChainDepths},
+		{"placement", *placement, &base.Placements},
+		{"transports", *transports, &base.Transports},
+		{"deployments", *deployments, &base.Deployments},
+	} {
+		keys, err := report.SplitKeys(f.val)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "-%s: %v\n", f.name, err)
+			return 1
+		}
+		*f.dst = keys
+	}
+
 	// spec executes one experiment under the engine, labelling progress
 	// lines with the experiment name.
 	spec := func(experiment string) crosslayer.ExperimentSpec {
-		s := crosslayer.ExperimentSpec{
-			SampleCap:   *n,
-			Seed:        *seed,
-			Parallelism: *parallel,
-			ShardSize:   *shardSize,
-			SadPorts:    *sadPorts,
-			Methods:     splitKeys(*methods),
-			Victims:     splitKeys(*victims),
-			Profiles:    splitKeys(*profiles),
-			Defenses:    splitKeys(*defenses),
-			DefenseSets: splitKeys(*defenseSets),
-			ChainDepths: splitKeys(*chainDepths),
-			Placements:  splitKeys(*placement),
-			Transports:  splitKeys(*transports),
-			Deployments: splitKeys(*deployments),
-			Trials:      *trials,
-			LatticeRank: *latticeRank,
-			Downgrade:   *downgrade,
-		}
+		s := base
 		if !*quiet {
 			s.Progress = progressPrinter(experiment)
 		}
@@ -289,20 +307,6 @@ func registryNames() []string {
 		names = append(names, e.Name)
 	}
 	return names
-}
-
-// splitKeys parses a comma-separated filter flag; empty means "all".
-func splitKeys(s string) []string {
-	if strings.TrimSpace(s) == "" {
-		return nil
-	}
-	var out []string
-	for _, k := range strings.Split(s, ",") {
-		if k = strings.TrimSpace(k); k != "" {
-			out = append(out, k)
-		}
-	}
-	return out
 }
 
 // progressPrinter renders per-dataset shard completions on stderr: a

@@ -248,7 +248,7 @@ type ExperimentProgress = measure.ProgressEvent
 // the defense-stacking lattice rank (LatticeRank 0 sweeps singletons,
 // all pairs and the full stack; 1 is the historical scalar defense
 // axis), and the Downgrade switch that reruns every cell under active
-// transport-downgrade pressure. See Experiments.Campaign.
+// transport-downgrade pressure. See RunCampaign.
 type CampaignConfig = campaign.Config
 
 // CampaignFilter restricts a campaign sweep to the named registry
@@ -277,50 +277,25 @@ type CampaignCell = campaign.CellResult
 
 // RunCampaign executes the method × victim × profile × defense-set ×
 // chain-depth × placement × transport cross-product (optionally
-// filtered) and returns the raw cells for composition with the
-// campaign renderers below. Run("campaign", spec) is the registry form returning the
-// assembled Report; this cells-level entry point exists for callers
-// that aggregate their own views. Output is byte-identical for any
+// filtered) and returns the raw cells. Run("campaign", spec) is the
+// registry form returning the assembled Report; this cells-level entry
+// point exists for callers that aggregate their own views or render
+// the cells later with CampaignReport. Output is byte-identical for any
 // Parallelism, and filtered sweeps — including defense-set-filtered
 // ones — reproduce the full sweep's cells exactly.
 func RunCampaign(ctx context.Context, cfg CampaignConfig) ([]CampaignCell, error) {
 	return campaign.RunContext(ctx, cfg)
 }
 
-// CampaignMatrix builds the per-cell success-rate/cost matrix Report
-// of a campaign run's cells.
-func CampaignMatrix(cells []CampaignCell) *Report { return campaign.Matrix(cells) }
-
-// CampaignSummary builds the method × defense poisoning-rate
-// aggregate of a campaign run's cells.
-func CampaignSummary(cells []CampaignCell) *Report { return campaign.Summary(cells) }
-
-// CampaignDepthTable builds the method × placement × chain-depth
-// poisoning-rate aggregate of a campaign run's cells — the §4.3
-// depth-vs-success view.
-func CampaignDepthTable(cells []CampaignCell) *Report { return campaign.DepthTable(cells) }
-
-// CampaignLattice builds the defense-stacking view of a campaign
-// run's cells: per-set poisoning rates per method, plus the marginal
-// coverage each base defense adds on top of every measured subset.
-func CampaignLattice(cells []CampaignCell) *Report { return campaign.Lattice(cells) }
-
-// CampaignTransportTable builds the method × upstream-transport
-// poisoning-rate aggregate of a campaign run's cells — which attacks
-// survive which encrypted transports, and what a plaintext front hop
-// or an active downgrade gives back.
-func CampaignTransportTable(cells []CampaignCell) *Report { return campaign.TransportTable(cells) }
-
-// CampaignDeployTable builds the method × deployment-dataset
-// poisoning-rate aggregate of a campaign run's cells, each rate
-// carrying its 95% Wilson confidence half-width — the population view:
-// what fraction of a deployed population each attack compromises, and
-// how tightly the sample size pins that estimate down.
-func CampaignDeployTable(cells []CampaignCell) *Report { return campaign.DeployTable(cells) }
-
-// TableResult is a rendered experiment artifact; *Report satisfies
-// it.
-type TableResult interface{ String() string }
+// CampaignReport assembles the full campaign Report of a run's cells
+// under the spec that selected them — the Report Run("campaign", spec)
+// returns. Its named sections carry every view: the per-cell matrix
+// ("matrix"), the method × defense, chain-depth, transport and
+// deployment pivots ("summary", "depth", "transport", "deploy"), and
+// the defense-stacking lattice ("lattice-sets", "lattice-marginal").
+func CampaignReport(cells []CampaignCell, spec ExperimentSpec) *Report {
+	return campaign.Report(cells, spec)
+}
 
 // DefaultServerConfig returns the baseline authoritative-server
 // configuration; adjust RateLimit/PadAnswersTo to open the SadDNS and

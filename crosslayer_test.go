@@ -197,14 +197,16 @@ func TestCampaignFacade(t *testing.T) {
 	if len(cells) != 20 {
 		t.Fatalf("campaign cells: %d", len(cells))
 	}
-	if got := crosslayer.CampaignMatrix(cells).Sections[0].Text(); got != rep.Section("matrix").Text() {
-		t.Fatal("cells-level matrix diverged from the registry report")
+	want, err := crosslayer.RenderReport(rep, "json")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if crosslayer.CampaignSummary(cells).String() == "" ||
-		crosslayer.CampaignDepthTable(cells).String() == "" ||
-		crosslayer.CampaignTransportTable(cells).String() == "" ||
-		crosslayer.CampaignLattice(cells).String() == "" {
-		t.Fatal("empty campaign rendering")
+	got, err := crosslayer.RenderReport(crosslayer.CampaignReport(cells, spec), "json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatal("cells-level campaign report diverged from the registry report")
 	}
 
 	// Filter validation errors propagate through the registry path —

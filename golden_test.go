@@ -171,19 +171,19 @@ func goldenReport(name string) (*crosslayer.Report, error) {
 
 // goldenChain / goldenLattice run each cells-level slice once.
 var goldenChain = sync.OnceValues(func() ([]campaign.CellResult, error) {
-	return campaign.Run(goldenChainConfig())
+	return campaign.RunContext(context.Background(), goldenChainConfig())
 })
 
 var goldenLattice = sync.OnceValues(func() ([]campaign.CellResult, error) {
-	return campaign.Run(goldenLatticeConfig())
+	return campaign.RunContext(context.Background(), goldenLatticeConfig())
 })
 
 var goldenTransport = sync.OnceValues(func() ([]campaign.CellResult, error) {
-	return campaign.Run(goldenTransportConfig())
+	return campaign.RunContext(context.Background(), goldenTransportConfig())
 })
 
 var goldenDeploy = sync.OnceValues(func() ([]campaign.CellResult, error) {
-	return campaign.Run(goldenDeployConfig())
+	return campaign.RunContext(context.Background(), goldenDeployConfig())
 })
 
 // compareGolden pins got against the golden file at path, rewriting

@@ -51,7 +51,7 @@ type arenaLease struct {
 func (p *ArenaPool) beginRun() *arenaLease { return &arenaLease{pool: p} }
 
 // get borrows a parked worker (or makes a fresh one). Called from
-// engine worker goroutines via RunWorkers' newState hook.
+// engine worker goroutines via RunWorkersCtx' newState hook.
 func (l *arenaLease) get() *trialWorker {
 	l.pool.mu.Lock()
 	var w *trialWorker

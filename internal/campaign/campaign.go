@@ -370,7 +370,9 @@ type Config struct {
 }
 
 // CellCache memoizes CellResults across campaign runs, keyed by
-// CellKey. Implementations must be safe for concurrent use: the
+// CellKey. RunContext looks a cell up before running it and stores
+// every freshly computed cell, so cells finished before a cancellation
+// are kept. Implementations must be safe for concurrent use: the
 // engine's workers look up and store cells in parallel.
 type CellCache interface {
 	Lookup(key string) (CellResult, bool)
@@ -421,10 +423,6 @@ func (c Cell) Key() string {
 	}
 	return k
 }
-
-// Cells plans the (filtered) cross-product at the default lattice
-// rank; see CellsAtRank.
-func Cells(f Filter) ([]Cell, error) { return CellsAtRank(f, 0) }
 
 // CellsAtRank plans the (filtered) cross-product in deterministic
 // order: methods, then victims, then profiles, then defense sets (the

@@ -1,6 +1,7 @@
 package campaign_test
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 )
 
 func TestCellPlanFullProductAndOrder(t *testing.T) {
-	cells, err := campaign.Cells(campaign.Filter{})
+	cells, err := campaign.CellsAtRank(campaign.Filter{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,12 +45,12 @@ func TestCellPlanFullProductAndOrder(t *testing.T) {
 }
 
 func TestCellFilterSelectsAndRejects(t *testing.T) {
-	cells, err := campaign.Cells(campaign.Filter{
+	cells, err := campaign.CellsAtRank(campaign.Filter{
 		Methods: []string{"FRAG"}, Victims: []string{" web "},
 		Profiles: []string{"bind", "dnsmasq"}, Defenses: []string{"none"},
 		ChainDepths: []string{"0"}, Placements: []string{"stub"},
 		Transports: []string{"udp"},
-	})
+	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,19 +63,19 @@ func TestCellFilterSelectsAndRejects(t *testing.T) {
 			t.Fatalf("stray cell %q", c.Key())
 		}
 	}
-	if _, err := campaign.Cells(campaign.Filter{Victims: []string{"nosuch"}}); err == nil {
+	if _, err := campaign.CellsAtRank(campaign.Filter{Victims: []string{"nosuch"}}, 0); err == nil {
 		t.Fatal("unknown victim key accepted")
 	}
-	if _, err := campaign.Cells(campaign.Filter{Methods: []string{"hijack", "typo"}}); err == nil {
+	if _, err := campaign.CellsAtRank(campaign.Filter{Methods: []string{"hijack", "typo"}}, 0); err == nil {
 		t.Fatal("unknown method key accepted")
 	}
-	if _, err := campaign.Cells(campaign.Filter{ChainDepths: []string{"9"}}); err == nil {
+	if _, err := campaign.CellsAtRank(campaign.Filter{ChainDepths: []string{"9"}}, 0); err == nil {
 		t.Fatal("unknown chain depth accepted")
 	}
-	if _, err := campaign.Cells(campaign.Filter{Placements: []string{"satellite"}}); err == nil {
+	if _, err := campaign.CellsAtRank(campaign.Filter{Placements: []string{"satellite"}}, 0); err == nil {
 		t.Fatal("unknown placement accepted")
 	}
-	if _, err := campaign.Cells(campaign.Filter{Transports: []string{"quic"}}); err == nil {
+	if _, err := campaign.CellsAtRank(campaign.Filter{Transports: []string{"quic"}}, 0); err == nil {
 		t.Fatal("unknown transport accepted")
 	}
 }
@@ -97,7 +98,7 @@ func TestCampaignByteIdenticalAcrossParallelism(t *testing.T) {
 		Trials:      2,
 		LatticeRank: 1,
 	}
-	refRes, err := campaign.Run(base)
+	refRes, err := campaign.RunContext(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestCampaignByteIdenticalAcrossParallelism(t *testing.T) {
 	for _, p := range []int{2, 8} {
 		cfg := base
 		cfg.Exec.Parallelism = p
-		res, err := campaign.Run(cfg)
+		res, err := campaign.RunContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +129,7 @@ func TestCampaignByteIdenticalAcrossParallelism(t *testing.T) {
 // identity, so a depth/placement-filtered sweep reproduces full-sweep
 // cells the same way.
 func TestCampaignFilterStability(t *testing.T) {
-	broad, err := campaign.Run(campaign.Config{
+	broad, err := campaign.RunContext(context.Background(), campaign.Config{
 		Exec: measure.Config{Seed: 12},
 		Filter: campaign.Filter{Methods: []string{"hijack"},
 			Victims: []string{"web", "ntp"}, Profiles: []string{"bind"},
@@ -138,7 +139,7 @@ func TestCampaignFilterStability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	narrow, err := campaign.Run(campaign.Config{
+	narrow, err := campaign.RunContext(context.Background(), campaign.Config{
 		Exec: measure.Config{Seed: 12},
 		Filter: campaign.Filter{Methods: []string{"hijack"},
 			Victims: []string{"ntp"}, Profiles: []string{"bind"}, Defenses: []string{"none", "dnssec"},
@@ -171,7 +172,7 @@ func TestCampaignFilterStability(t *testing.T) {
 // profile column: each §6 defense stops exactly the methods the paper
 // says it stops.
 func TestCampaignDefenseStory(t *testing.T) {
-	res, err := campaign.Run(campaign.Config{
+	res, err := campaign.RunContext(context.Background(), campaign.Config{
 		Exec: measure.Config{Seed: 1},
 		Filter: campaign.Filter{Victims: []string{"web"}, Profiles: []string{"bind"},
 			ChainDepths: []string{"0"}, Placements: []string{"stub"},
@@ -215,7 +216,7 @@ func TestCampaignDefenseStory(t *testing.T) {
 // TestCampaignTrialsCappedBySampleCap: the measure.Config SampleCap
 // bounds the per-cell sample like it bounds every other population.
 func TestCampaignTrialsCappedBySampleCap(t *testing.T) {
-	res, err := campaign.Run(campaign.Config{
+	res, err := campaign.RunContext(context.Background(), campaign.Config{
 		Exec: measure.Config{Seed: 3, SampleCap: 1},
 		Filter: campaign.Filter{Methods: []string{"hijack"}, Victims: []string{"web"},
 			Profiles: []string{"bind"}, Defenses: []string{"none"},
@@ -249,7 +250,7 @@ func TestCampaignVictimsMapToTable1(t *testing.T) {
 
 func TestCampaignProgressEvents(t *testing.T) {
 	var events []measure.ProgressEvent
-	_, err := campaign.Run(campaign.Config{
+	_, err := campaign.RunContext(context.Background(), campaign.Config{
 		Exec: measure.Config{Seed: 4, Parallelism: 1,
 			Progress: func(ev measure.ProgressEvent) { events = append(events, ev) }},
 		Filter: campaign.Filter{Methods: []string{"hijack"}, Victims: []string{"web", "ntp"},
@@ -273,7 +274,7 @@ func TestCampaignProgressEvents(t *testing.T) {
 // TestCellFilterRejectsWhitespaceOnly: a filter dimension whose every
 // key trims away must error, not silently plan zero cells.
 func TestCellFilterRejectsWhitespaceOnly(t *testing.T) {
-	if _, err := campaign.Cells(campaign.Filter{Victims: []string{" ", ""}}); err == nil {
+	if _, err := campaign.CellsAtRank(campaign.Filter{Victims: []string{" ", ""}}, 0); err == nil {
 		t.Fatal("whitespace-only filter accepted")
 	}
 }
@@ -284,7 +285,7 @@ func TestCellFilterRejectsWhitespaceOnly(t *testing.T) {
 // forwarder neither 0x20-encodes nor validates, and the per-hop cache
 // serves the injected record to the client.
 func TestCampaignChainStory(t *testing.T) {
-	res, err := campaign.Run(campaign.Config{
+	res, err := campaign.RunContext(context.Background(), campaign.Config{
 		Exec: measure.Config{Seed: 7},
 		Filter: campaign.Filter{Methods: []string{"saddns"}, Victims: []string{"web"},
 			Profiles: []string{"bind"}, Defenses: []string{"none", "0x20", "dnssec"},
@@ -331,7 +332,7 @@ func TestCampaignChainDepthByteIdenticalAcrossParallelism(t *testing.T) {
 			Transports: []string{"udp"}},
 		Trials: 2,
 	}
-	refRes, err := campaign.Run(base)
+	refRes, err := campaign.RunContext(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +344,7 @@ func TestCampaignChainDepthByteIdenticalAcrossParallelism(t *testing.T) {
 	for _, p := range []int{3, 8} {
 		cfg := base
 		cfg.Exec.Parallelism = p
-		res, err := campaign.Run(cfg)
+		res, err := campaign.RunContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

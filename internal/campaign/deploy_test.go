@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -26,11 +27,11 @@ func deployFilter(datasets ...string) Filter {
 // canonical cell's identity key carries no deployment suffix — so
 // every pre-axis sweep, cache key and checkpoint stays byte-identical.
 func TestCampaignDeployDefaultCanonical(t *testing.T) {
-	def, err := Cells(deployFilter())
+	def, err := CellsAtRank(deployFilter(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	explicit, err := Cells(deployFilter(deploy.CanonicalKey))
+	explicit, err := CellsAtRank(deployFilter(deploy.CanonicalKey), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestCampaignDeployDefaultCanonical(t *testing.T) {
 	if strings.Contains(key, deploy.CanonicalKey) {
 		t.Fatalf("canonical cell key %q must not carry a deployment suffix", key)
 	}
-	all, err := Cells(deployFilter("canonical", "measured", "hardened"))
+	all, err := CellsAtRank(deployFilter("canonical", "measured", "hardened"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestCampaignDeployDefaultCanonical(t *testing.T) {
 // the new axis: an unknown dataset key fails the plan, naming the
 // dimension and listing every valid registry key.
 func TestCampaignDeployUnknownKey(t *testing.T) {
-	_, err := Cells(deployFilter("nosuch"))
+	_, err := CellsAtRank(deployFilter("nosuch"), 0)
 	if err == nil {
 		t.Fatal("unknown deployment key accepted")
 	}
@@ -100,7 +101,7 @@ func TestCampaignDeployByteIdenticalAcrossParallelism(t *testing.T) {
 		Filter: deployFilter("canonical", "measured", "hardened"),
 		Trials: 3,
 	}
-	ref, err := Run(base)
+	ref, err := RunContext(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestCampaignDeployByteIdenticalAcrossParallelism(t *testing.T) {
 	for _, p := range []int{3, 8} {
 		cfg := base
 		cfg.Exec.Parallelism = p
-		res, err := Run(cfg)
+		res, err := RunContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +123,7 @@ func TestCampaignDeployByteIdenticalAcrossParallelism(t *testing.T) {
 	}
 	filtered := base
 	filtered.Filter.Deployments = []string{"measured"}
-	sub, err := Run(filtered)
+	sub, err := RunContext(context.Background(), filtered)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestCampaignDeployByteIdenticalAcrossParallelism(t *testing.T) {
 // per-cell poisoning counts differ from the canonical world's — the
 // whole point of replacing a binary toggle with a measured rate.
 func TestCampaignDeployRatesDiffer(t *testing.T) {
-	res, err := Run(Config{
+	res, err := RunContext(context.Background(), Config{
 		Exec: measure.Config{Seed: 3},
 		Filter: Filter{
 			Methods: []string{"saddns"}, Victims: []string{"web"},
@@ -180,7 +181,7 @@ func TestCampaignDeployRatesDiffer(t *testing.T) {
 // section renders one ratio-ci column per dataset present, each cell
 // in the Wilson pct±half-width form.
 func TestDeployTableRendersCI(t *testing.T) {
-	res, err := Run(Config{
+	res, err := RunContext(context.Background(), Config{
 		Exec:   measure.Config{Seed: 29},
 		Filter: deployFilter("canonical", "measured"),
 		Trials: 3,
@@ -202,7 +203,7 @@ func TestDeployTableRendersCI(t *testing.T) {
 // trimmed to the pool's node cap.
 func TestCampaignArenaPoolNodeRetention(t *testing.T) {
 	arenas := &ArenaPool{MaxPoolNodes: 64}
-	_, err := Run(Config{
+	_, err := RunContext(context.Background(), Config{
 		Exec:   measure.Config{Seed: 5},
 		Filter: deployFilter("measured"),
 		Trials: 2,

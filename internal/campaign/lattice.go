@@ -27,27 +27,18 @@ import (
 // scalar method × defense summary (transposed) and the marginal
 // section only reports each defense against the undefended baseline.
 func Lattice(results []CellResult) *report.Report {
-	type mk struct{ method, set string }
-	agg := map[mk]stats.Counter{}
-	var methods, sets []string
-	seenM, seenS := map[string]bool{}, map[string]bool{}
-	for _, r := range results {
-		if !seenM[r.Method] {
-			seenM[r.Method] = true
-			methods = append(methods, r.Method)
-		}
-		if !seenS[r.Defense] {
-			seenS[r.Defense] = true
-			sets = append(sets, r.Defense)
-		}
-		k := mk{r.Method, r.Defense}
-		agg[k] = agg[k].Plus(r.Poisoned)
+	g := group(results, []axis{byDefense}, byMethod)
+	sets, methods := g.rows, g.cols
+	measured := map[string]bool{}
+	for _, s := range sets {
+		measured[s] = true
 	}
+	rate := func(method, set string) stats.Counter { return g.sums[groupKey{set, method}] }
 
 	rep := report.New("campaign-lattice", "Campaign defense-stacking lattice")
 
 	setCols := []report.Column{
-		report.Col("Defense set", report.KindString),
+		report.Col(byDefense.name, report.KindString),
 		report.Col("Rank", report.KindInt),
 	}
 	for _, m := range methods {
@@ -59,7 +50,7 @@ func Lattice(results []CellResult) *report.Report {
 	for _, s := range sets {
 		row := []any{s, setRank(s)}
 		for _, m := range methods {
-			row = append(row, agg[mk{m, s}])
+			row = append(row, rate(m, s))
 		}
 		setsSec.Add(row...)
 	}
@@ -80,12 +71,12 @@ func Lattice(results []CellResult) *report.Report {
 				continue
 			}
 			super := DefenseSetKey(append(setComponents(s), d))
-			if !seenS[super] {
+			if !measured[super] {
 				continue
 			}
 			row := []any{d, s}
 			for _, m := range methods {
-				before, after := agg[mk{m, s}], agg[mk{m, super}]
+				before, after := rate(m, s), rate(m, super)
 				if before.Total == 0 || after.Total == 0 {
 					row = append(row, nil)
 					continue

@@ -1,6 +1,7 @@
 package campaign_test
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -92,12 +93,12 @@ func TestDefenseSetKeyCanonicalisation(t *testing.T) {
 // stacks (any order/case), regardless of lattice rank, in lattice
 // enumeration order.
 func TestDefenseSetFilterPlansExactSets(t *testing.T) {
-	cells, err := campaign.Cells(campaign.Filter{
+	cells, err := campaign.CellsAtRank(campaign.Filter{
 		Methods: []string{"hijack"}, Victims: []string{"web"}, Profiles: []string{"bind"},
 		DefenseSets: []string{"shuffle+0x20", "NONE", "dnssec+no-rrl+0x20+shuffle"},
 		ChainDepths: []string{"0"}, Placements: []string{"stub"},
 		Transports: []string{"udp"},
-	})
+	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,12 +116,12 @@ func TestDefenseSetFilterPlansExactSets(t *testing.T) {
 // lattice over the named defenses only; "none" stays accepted (the
 // baseline is always part of the lattice).
 func TestDefenseBaseFilterBoundsLattice(t *testing.T) {
-	cells, err := campaign.Cells(campaign.Filter{
+	cells, err := campaign.CellsAtRank(campaign.Filter{
 		Methods: []string{"hijack"}, Victims: []string{"web"}, Profiles: []string{"bind"},
 		Defenses:    []string{"none", "0x20", "shuffle"},
 		ChainDepths: []string{"0"}, Placements: []string{"stub"},
 		Transports: []string{"udp"},
-	})
+	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +134,11 @@ func TestDefenseBaseFilterBoundsLattice(t *testing.T) {
 		t.Fatalf("planned sets %v, want %v", got, want)
 	}
 	// Only "none": the lattice degenerates to the baseline.
-	cells, err = campaign.Cells(campaign.Filter{
+	cells, err = campaign.CellsAtRank(campaign.Filter{
 		Methods: []string{"hijack"}, Victims: []string{"web"}, Profiles: []string{"bind"},
 		Defenses: []string{"none"}, ChainDepths: []string{"0"}, Placements: []string{"stub"},
 		Transports: []string{"udp"},
-	})
+	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestDefenseSetFilterByteIdenticalAcrossParallelism(t *testing.T) {
 	corner := campaign.Filter{Methods: []string{"hijack"}, Victims: []string{"web"},
 		Profiles: []string{"bind"}, ChainDepths: []string{"0"}, Placements: []string{"stub"},
 		Transports: []string{"udp"}}
-	full, err := campaign.Run(campaign.Config{
+	full, err := campaign.RunContext(context.Background(), campaign.Config{
 		Exec: measure.Config{Seed: 31, Parallelism: 1}, Filter: corner, Trials: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +169,7 @@ func TestDefenseSetFilterByteIdenticalAcrossParallelism(t *testing.T) {
 	filter.DefenseSets = []string{"shuffle+0x20", "none", "dnssec"}
 	var ref []campaign.CellResult
 	for _, p := range []int{1, 8} {
-		res, err := campaign.Run(campaign.Config{
+		res, err := campaign.RunContext(context.Background(), campaign.Config{
 			Exec: measure.Config{Seed: 31, Parallelism: p}, Filter: filter, Trials: 2})
 		if err != nil {
 			t.Fatal(err)
@@ -199,7 +200,7 @@ func TestDefenseSetFilterByteIdenticalAcrossParallelism(t *testing.T) {
 // each defense's marginal coverage on top of the other is exactly the
 // method the other misses.
 func TestCampaignStackingStory(t *testing.T) {
-	res, err := campaign.Run(campaign.Config{
+	res, err := campaign.RunContext(context.Background(), campaign.Config{
 		Exec: measure.Config{Seed: 13},
 		Filter: campaign.Filter{Methods: []string{"saddns", "frag"},
 			Victims: []string{"web"}, Profiles: []string{"bind"},
@@ -286,7 +287,7 @@ func TestFilterErrorsListValidKeys(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := campaign.Cells(c.filter)
+			_, err := campaign.CellsAtRank(c.filter, 0)
 			if err == nil {
 				t.Fatalf("unknown %s key accepted", c.name)
 			}
@@ -299,18 +300,18 @@ func TestFilterErrorsListValidKeys(t *testing.T) {
 	}
 
 	// The two defense filters are mutually exclusive.
-	_, err := campaign.Cells(campaign.Filter{
-		Defenses: []string{"0x20"}, DefenseSets: []string{"0x20+shuffle"}})
+	_, err := campaign.CellsAtRank(campaign.Filter{
+		Defenses: []string{"0x20"}, DefenseSets: []string{"0x20+shuffle"}}, 0)
 	if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
 		t.Fatalf("combined defense filters: %v", err)
 	}
 
 	// Whitespace-only defense and defense-set filters are rejected,
 	// not silently widened to "all".
-	if _, err := campaign.Cells(campaign.Filter{Defenses: []string{"  "}}); err == nil {
+	if _, err := campaign.CellsAtRank(campaign.Filter{Defenses: []string{"  "}}, 0); err == nil {
 		t.Fatal("whitespace-only defense filter accepted")
 	}
-	if _, err := campaign.Cells(campaign.Filter{DefenseSets: []string{" "}}); err == nil {
+	if _, err := campaign.CellsAtRank(campaign.Filter{DefenseSets: []string{" "}}, 0); err == nil {
 		t.Fatal("whitespace-only defense-set filter accepted")
 	}
 }

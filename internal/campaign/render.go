@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"sort"
+	"strings"
 
 	"crosslayer/internal/deploy"
 	"crosslayer/internal/report"
@@ -72,6 +73,97 @@ func Matrix(results []CellResult) *report.Report {
 	return rep
 }
 
+// axis is one sweep dimension as the pivot views read it: the header
+// of its row column and the key it takes on a result.
+type axis struct {
+	name string
+	key  func(CellResult) string
+}
+
+var (
+	byMethod     = axis{"Method", func(r CellResult) string { return r.Method }}
+	byDefense    = axis{"Defense set", func(r CellResult) string { return r.Defense }}
+	byDepth      = axis{"Depth", func(r CellResult) string { return r.Depth }}
+	byPlacement  = axis{"Placement", func(r CellResult) string { return r.Placement }}
+	byTransport  = axis{"Transport", func(r CellResult) string { return r.Transport }}
+	byDeployment = axis{"Dataset", deploymentOf}
+)
+
+// grouping is a sweep's results grouped by row axes × one column axis:
+// the distinct rows and column keys in first-seen order, and the
+// poisoning counters summed per (row, column) group. A row is its axes'
+// keys joined by "\x00".
+type grouping struct {
+	rows, cols []string
+	sums       map[groupKey]stats.Counter // zero for a group no result fell in
+}
+
+type groupKey struct{ row, col string }
+
+func group(results []CellResult, rows []axis, col axis) grouping {
+	g := grouping{sums: map[groupKey]stats.Counter{}}
+	seenRow, seenCol := map[string]bool{}, map[string]bool{}
+	for _, r := range results {
+		keys := make([]string, len(rows))
+		for i, a := range rows {
+			keys[i] = a.key(r)
+		}
+		k := groupKey{strings.Join(keys, "\x00"), col.key(r)}
+		if !seenRow[k.row] {
+			seenRow[k.row] = true
+			g.rows = append(g.rows, k.row)
+		}
+		if !seenCol[k.col] {
+			seenCol[k.col] = true
+			g.cols = append(g.cols, k.col)
+		}
+		g.sums[k] = g.sums[k].Plus(r.Poisoned)
+	}
+	return g
+}
+
+// pivotSpec names one pivot view: its report and section, the axes it
+// groups by, and how its columns render.
+type pivotSpec struct {
+	name, title           string // the report's
+	section, sectionTitle string // its one section's
+	rows                  []axis
+	col                   axis
+	colPrefix             string      // prepended to each column key in the header
+	sortCols              bool        // sort the column keys instead of first-seen order
+	kind                  report.Kind // KindRatio or KindRatioCI
+}
+
+// pivot renders a sweep's poisoning rates as a one-section report: one
+// string column per row axis, then one column per column key holding
+// the row's summed counter for that key.
+func pivot(results []CellResult, p pivotSpec) *report.Report {
+	g := group(results, p.rows, p.col)
+	if p.sortCols {
+		sort.Strings(g.cols)
+	}
+	cols := make([]report.Column, 0, len(p.rows)+len(g.cols))
+	for _, a := range p.rows {
+		cols = append(cols, report.Col(a.name, report.KindString))
+	}
+	for _, c := range g.cols {
+		cols = append(cols, report.Col(p.colPrefix+c, p.kind))
+	}
+	rep := report.New(p.name, p.title)
+	sec := rep.AddSection(report.Table(p.section, p.sectionTitle, cols...))
+	for _, row := range g.rows {
+		cells := make([]any, 0, len(cols))
+		for _, k := range strings.Split(row, "\x00") {
+			cells = append(cells, k)
+		}
+		for _, c := range g.cols {
+			cells = append(cells, g.sums[groupKey{row, c}])
+		}
+		sec.Add(cells...)
+	}
+	return rep
+}
+
 // DeployTable builds the deployment view of the sweep — the paper's
 // population question: for each method, the poisoning rate under
 // every deployment dataset present in the results (sweep order),
@@ -82,39 +174,12 @@ func Matrix(results []CellResult) *report.Report {
 // of a deployed population is", and the CI says how much the per-cell
 // sample sizes let you conclude.
 func DeployTable(results []CellResult) *report.Report {
-	type md struct{ method, dataset string }
-	agg := map[md]stats.Counter{}
-	var methods, datasets []string
-	seenM, seenD := map[string]bool{}, map[string]bool{}
-	for _, r := range results {
-		dpl := deploymentOf(r)
-		if !seenM[r.Method] {
-			seenM[r.Method] = true
-			methods = append(methods, r.Method)
-		}
-		if !seenD[dpl] {
-			seenD[dpl] = true
-			datasets = append(datasets, dpl)
-		}
-		k := md{r.Method, dpl}
-		agg[k] = agg[k].Plus(r.Poisoned)
-	}
-	cols := []report.Column{report.Col("Method", report.KindString)}
-	for _, d := range datasets {
-		cols = append(cols, report.Col(d, report.KindRatioCI))
-	}
-	rep := report.New("campaign-deploy", "Campaign method × deployment-dataset table")
-	sec := rep.AddSection(report.Table("deploy",
-		"Campaign deployments: poisoning rate ±95% CI by method × deployment dataset (over victims × profiles × defenses × depths × placements × transports)",
-		cols...))
-	for _, m := range methods {
-		row := []any{m}
-		for _, d := range datasets {
-			row = append(row, agg[md{m, d}])
-		}
-		sec.Add(row...)
-	}
-	return rep
+	return pivot(results, pivotSpec{
+		name: "campaign-deploy", title: "Campaign method × deployment-dataset table",
+		section:      "deploy",
+		sectionTitle: "Campaign deployments: poisoning rate ±95% CI by method × deployment dataset (over victims × profiles × defenses × depths × placements × transports)",
+		rows:         []axis{byMethod}, col: byDeployment, kind: report.KindRatioCI,
+	})
 }
 
 // DepthTable builds the depth-vs-success view of the sweep: for each
@@ -123,48 +188,13 @@ func DeployTable(results []CellResult) *report.Report {
 // defenses — the one-screen answer to "does a forwarder chain make the
 // attack easier, and from where".
 func DepthTable(results []CellResult) *report.Report {
-	type mp struct{ method, placement string }
-	type cell struct {
-		mp    mp
-		depth string
-	}
-	agg := map[cell]stats.Counter{}
-	var rows []mp
-	var depths []string
-	seenRow, seenDepth := map[mp]bool{}, map[string]bool{}
-	for _, r := range results {
-		k := mp{r.Method, r.Placement}
-		if !seenRow[k] {
-			seenRow[k] = true
-			rows = append(rows, k)
-		}
-		if !seenDepth[r.Depth] {
-			seenDepth[r.Depth] = true
-			depths = append(depths, r.Depth)
-		}
-		c := cell{k, r.Depth}
-		agg[c] = agg[c].Plus(r.Poisoned)
-	}
-	sort.Strings(depths)
-	cols := []report.Column{
-		report.Col("Method", report.KindString),
-		report.Col("Placement", report.KindString),
-	}
-	for _, d := range depths {
-		cols = append(cols, report.Col("depth "+d, report.KindRatio))
-	}
-	rep := report.New("campaign-depth", "Campaign chain-depth table")
-	sec := rep.AddSection(report.Table("depth",
-		"Campaign chains: poisoning success by method × placement × chain depth (over victims × profiles × defenses)",
-		cols...))
-	for _, k := range rows {
-		row := []any{k.method, k.placement}
-		for _, d := range depths {
-			row = append(row, agg[cell{k, d}])
-		}
-		sec.Add(row...)
-	}
-	return rep
+	return pivot(results, pivotSpec{
+		name: "campaign-depth", title: "Campaign chain-depth table",
+		section:      "depth",
+		sectionTitle: "Campaign chains: poisoning success by method × placement × chain depth (over victims × profiles × defenses)",
+		rows:         []axis{byMethod, byPlacement}, col: byDepth,
+		colPrefix: "depth ", sortCols: true, kind: report.KindRatio,
+	})
 }
 
 // TransportTable builds the transport-vs-success view of the sweep:
@@ -174,38 +204,12 @@ func DepthTable(results []CellResult) *report.Report {
 // "which attacks survive which upstream transports, and what does a
 // plaintext front hop give back".
 func TransportTable(results []CellResult) *report.Report {
-	type mt struct{ method, transport string }
-	agg := map[mt]stats.Counter{}
-	var methods, transports []string
-	seenM, seenT := map[string]bool{}, map[string]bool{}
-	for _, r := range results {
-		if !seenM[r.Method] {
-			seenM[r.Method] = true
-			methods = append(methods, r.Method)
-		}
-		if !seenT[r.Transport] {
-			seenT[r.Transport] = true
-			transports = append(transports, r.Transport)
-		}
-		k := mt{r.Method, r.Transport}
-		agg[k] = agg[k].Plus(r.Poisoned)
-	}
-	cols := []report.Column{report.Col("Method", report.KindString)}
-	for _, t := range transports {
-		cols = append(cols, report.Col(t, report.KindRatio))
-	}
-	rep := report.New("campaign-transport", "Campaign method × transport table")
-	sec := rep.AddSection(report.Table("transport",
-		"Campaign transports: poisoning success by method × upstream transport (over victims × profiles × defenses × depths × placements)",
-		cols...))
-	for _, m := range methods {
-		row := []any{m}
-		for _, t := range transports {
-			row = append(row, agg[mt{m, t}])
-		}
-		sec.Add(row...)
-	}
-	return rep
+	return pivot(results, pivotSpec{
+		name: "campaign-transport", title: "Campaign method × transport table",
+		section:      "transport",
+		sectionTitle: "Campaign transports: poisoning success by method × upstream transport (over victims × profiles × defenses × depths × placements)",
+		rows:         []axis{byMethod}, col: byTransport, kind: report.KindRatio,
+	})
 }
 
 // Summary builds the method × defense poisoning-rate matrix,
@@ -213,36 +217,10 @@ func TransportTable(results []CellResult) *report.Report {
 // the results — the one-screen answer to "which defense stops which
 // method".
 func Summary(results []CellResult) *report.Report {
-	type mk struct{ method, defense string }
-	agg := map[mk]stats.Counter{}
-	var methods, defenses []string
-	seenM, seenD := map[string]bool{}, map[string]bool{}
-	for _, r := range results {
-		if !seenM[r.Method] {
-			seenM[r.Method] = true
-			methods = append(methods, r.Method)
-		}
-		if !seenD[r.Defense] {
-			seenD[r.Defense] = true
-			defenses = append(defenses, r.Defense)
-		}
-		k := mk{r.Method, r.Defense}
-		agg[k] = agg[k].Plus(r.Poisoned)
-	}
-	cols := []report.Column{report.Col("Method", report.KindString)}
-	for _, d := range defenses {
-		cols = append(cols, report.Col(d, report.KindRatio))
-	}
-	rep := report.New("campaign-summary", "Campaign method × defense summary")
-	sec := rep.AddSection(report.Table("summary",
-		"Campaign summary: poisoning success by method × defense (over victims × profiles × depths × placements)",
-		cols...))
-	for _, m := range methods {
-		row := []any{m}
-		for _, d := range defenses {
-			row = append(row, agg[mk{m, d}])
-		}
-		sec.Add(row...)
-	}
-	return rep
+	return pivot(results, pivotSpec{
+		name: "campaign-summary", title: "Campaign method × defense summary",
+		section:      "summary",
+		sectionTitle: "Campaign summary: poisoning success by method × defense (over victims × profiles × depths × placements)",
+		rows:         []axis{byMethod}, col: byDefense, kind: report.KindRatio,
+	})
 }

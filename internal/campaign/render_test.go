@@ -1,6 +1,7 @@
 package campaign_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -31,7 +32,7 @@ func TestRenderEmptyResults(t *testing.T) {
 // TestRenderSingleCell: a one-cell sweep renders a one-row matrix and
 // one-row aggregates.
 func TestRenderSingleCell(t *testing.T) {
-	res, err := campaign.Run(campaign.Config{
+	res, err := campaign.RunContext(context.Background(), campaign.Config{
 		Exec: measure.Config{Seed: 5},
 		Filter: campaign.Filter{Methods: []string{"hijack"}, Victims: []string{"web"},
 			Profiles: []string{"bind"}, DefenseSets: []string{"none"},
@@ -65,7 +66,7 @@ func TestRenderSingleCell(t *testing.T) {
 // depth table with exactly the one depth column — no phantom chain
 // columns.
 func TestDepthTableWithoutChainCells(t *testing.T) {
-	res, err := campaign.Run(campaign.Config{
+	res, err := campaign.RunContext(context.Background(), campaign.Config{
 		Exec: measure.Config{Seed: 6},
 		Filter: campaign.Filter{Methods: []string{"hijack"}, Victims: []string{"web"},
 			Profiles: []string{"bind"}, DefenseSets: []string{"none"},
@@ -92,7 +93,7 @@ func TestDepthTableWithoutChainCells(t *testing.T) {
 // method × defense Summary (transposed), and the marginal table only
 // measures each defense against the undefended baseline.
 func TestLatticeRankOneDegeneratesToScalarSummary(t *testing.T) {
-	res, err := campaign.Run(campaign.Config{
+	res, err := campaign.RunContext(context.Background(), campaign.Config{
 		Exec: measure.Config{Seed: 9},
 		Filter: campaign.Filter{Methods: []string{"hijack"}, Victims: []string{"web"},
 			Profiles: []string{"bind"}, ChainDepths: []string{"0"}, Placements: []string{"stub"},

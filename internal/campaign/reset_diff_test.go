@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -17,12 +18,12 @@ import (
 // test on any difference in the raw cell results.
 func runBoth(t *testing.T, cfg Config) []CellResult {
 	t.Helper()
-	reset, err := Run(cfg)
+	reset, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.forceFreshBuild = true
-	fresh, err := Run(cfg)
+	fresh, err := RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,14 +116,14 @@ func TestResetDifferentialAcrossParallelism(t *testing.T) {
 	}
 	fresh := base
 	fresh.forceFreshBuild = true
-	ref, err := Run(fresh)
+	ref, err := RunContext(context.Background(), fresh)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []int{1, 3, 8} {
 		cfg := base
 		cfg.Exec.Parallelism = p
-		res, err := Run(cfg)
+		res, err := RunContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

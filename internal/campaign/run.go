@@ -41,17 +41,12 @@ type CellResult struct {
 	Seconds    *stats.CDF
 }
 
-// Run executes the (filtered) cross-product on the experiment engine:
-// every cell is one shard, every trial inside a cell builds a private
-// scenario from an identity-derived seed. Results come back in cell
-// order regardless of scheduling.
-func Run(cfg Config) ([]CellResult, error) {
-	return RunContext(context.Background(), cfg)
-}
-
-// RunContext is Run under a cancellable context: a long sweep aborts
-// at the next cell boundary once ctx is cancelled, returning the
-// context's error instead of a partial matrix.
+// RunContext executes the (filtered) cross-product on the experiment
+// engine: every cell is one shard, every trial inside a cell plays on
+// a world seeded from the cell's identity. Results come back in cell
+// order regardless of scheduling. A long sweep aborts at the next cell
+// boundary once ctx is cancelled, returning the context's error
+// instead of a partial matrix.
 func RunContext(ctx context.Context, cfg Config) ([]CellResult, error) {
 	cells, err := CellsAtRank(cfg.Filter, cfg.LatticeRank)
 	if err != nil {
@@ -72,53 +67,37 @@ func RunContext(ctx context.Context, cfg Config) ([]CellResult, error) {
 		Parallelism: cfg.Exec.Parallelism,
 	}
 	cfg.Exec.WireProgress(&job, "campaign", len(cells))
-	var cache engine.ShardCache[CellResult]
-	if cfg.Cache != nil {
-		cache = cellShardCache{cells: cells, seed: cfg.Exec.Seed, trials: trials,
-			downgrade: cfg.Downgrade, cache: cfg.Cache}
-	}
 	newState := newTrialWorker
 	if cfg.Arenas != nil {
 		lease := cfg.Arenas.beginRun()
 		defer lease.endRun()
 		newState = lease.get
 	}
-	return engine.RunWorkersCachedCtx(ctx, job, cache, newState, func(w *trialWorker, sh engine.Shard) CellResult {
+	return engine.RunWorkersCtx(ctx, job, newState, func(w *trialWorker, sh engine.Shard) CellResult {
 		// One shard == one cell (ShardSize 1, so sh.Start indexes the
 		// plan). The shard's positional seed is deliberately unused:
 		// the cell's trials derive from its identity key instead, so
 		// filtering the sweep never reseeds surviving cells.
-		return runCell(w, cells[sh.Start], cfg.Exec.Seed, trials, cfg.Downgrade, cfg.forceFreshBuild)
+		c := cells[sh.Start]
+		var key string
+		if cfg.Cache != nil {
+			// Trial seeds are shared between the plain and the
+			// downgraded condition (paired experiments), measured
+			// results are not.
+			key = CellKey(cfg.Exec.Seed, trials, c)
+			if cfg.Downgrade {
+				key += "/downgrade"
+			}
+			if r, ok := cfg.Cache.Lookup(key); ok {
+				return r
+			}
+		}
+		r := runCell(w, c, cfg.Exec.Seed, trials, cfg.Downgrade, cfg.forceFreshBuild)
+		if cfg.Cache != nil {
+			cfg.Cache.Store(key, r)
+		}
+		return r
 	})
-}
-
-// cellShardCache adapts a CellCache to the engine's shard-dispatch
-// hook: shard i is cell i (ShardSize 1), addressed by its CellKey.
-type cellShardCache struct {
-	cells     []Cell
-	seed      int64
-	trials    int
-	downgrade bool
-	cache     CellCache
-}
-
-// key is the cell's CellKey, plus a "/downgrade" marker when the sweep
-// runs under active downgrade pressure: trial seeds are shared between
-// the two conditions (paired experiments), measured results are not.
-func (a cellShardCache) key(sh engine.Shard) string {
-	k := CellKey(a.seed, a.trials, a.cells[sh.Start])
-	if a.downgrade {
-		k += "/downgrade"
-	}
-	return k
-}
-
-func (a cellShardCache) Lookup(sh engine.Shard) (CellResult, bool) {
-	return a.cache.Lookup(a.key(sh))
-}
-
-func (a cellShardCache) Store(sh engine.Shard, r CellResult) {
-	a.cache.Store(a.key(sh), r)
 }
 
 // trialWorker is the scratch one campaign worker reuses across every

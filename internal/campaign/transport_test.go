@@ -1,6 +1,7 @@
 package campaign_test
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -18,7 +19,7 @@ import (
 // cannot be completed, so the resolver SERVFAILs instead of accepting
 // the forged answer.
 func TestCampaignTransportStory(t *testing.T) {
-	res, err := campaign.Run(campaign.Config{
+	res, err := campaign.RunContext(context.Background(), campaign.Config{
 		Exec: measure.Config{Seed: 9},
 		Filter: campaign.Filter{
 			Methods: []string{"hijack", "saddns", "frag"}, Victims: []string{"web"},
@@ -74,13 +75,13 @@ func TestCampaignDowngradeStory(t *testing.T) {
 		},
 		Trials: 2,
 	}
-	quiet, err := campaign.Run(cfg)
+	quiet, err := campaign.RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	down := cfg
 	down.Downgrade = true
-	forced, err := campaign.Run(down)
+	forced, err := campaign.RunContext(context.Background(), down)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestCampaignTransportByteIdenticalAcrossParallelism(t *testing.T) {
 			ChainDepths: []string{"1"}, Placements: []string{"stub"}},
 		Trials: 2,
 	}
-	refRes, err := campaign.Run(base)
+	refRes, err := campaign.RunContext(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestCampaignTransportByteIdenticalAcrossParallelism(t *testing.T) {
 	for _, p := range []int{3, 8} {
 		cfg := base
 		cfg.Exec.Parallelism = p
-		res, err := campaign.Run(cfg)
+		res, err := campaign.RunContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +160,7 @@ func TestCampaignTransportByteIdenticalAcrossParallelism(t *testing.T) {
 // TLS setup happens inside the measured window even though the attack
 // then fails closed.
 func TestCampaignEncryptedCostStory(t *testing.T) {
-	res, err := campaign.Run(campaign.Config{
+	res, err := campaign.RunContext(context.Background(), campaign.Config{
 		Exec: measure.Config{Seed: 17},
 		Filter: campaign.Filter{Methods: []string{"hijack"}, Victims: []string{"web"},
 			Profiles: []string{"bind"}, Defenses: []string{"none"},

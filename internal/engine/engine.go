@@ -1,8 +1,9 @@
 // Package engine is the parallel experiment-execution subsystem: it
 // decomposes a population-scale experiment (a Job) into independent
-// deterministic simulation shards, binds each shard to the function
-// that simulates it (a Trial), and executes the trials on a worker
-// pool sized by GOMAXPROCS.
+// deterministic simulation shards and runs the function that simulates
+// a shard (one trial) on every shard, on a worker pool sized by
+// GOMAXPROCS. There are two entry points: RunCtx for stateless trials
+// and RunWorkersCtx for trials that reuse per-worker scratch.
 //
 // The determinism contract every caller relies on:
 //
@@ -18,10 +19,10 @@
 // Together these guarantee that the same seed produces byte-identical
 // merged output for any worker count.
 //
-// Execution is cancellable: the Ctx variants (RunCtx, ExecuteCtx,
-// ParallelCtx) stop dispatching shards once their context is
-// cancelled and return its error, so a long population sweep aborts
-// at the next shard boundary instead of running to completion.
+// Execution is cancellable: both entry points stop dispatching shards
+// once their context is cancelled and return its error, so a long
+// population sweep aborts at the next shard boundary instead of
+// running to completion.
 package engine
 
 import (
@@ -36,12 +37,14 @@ import (
 // per-shard cost of building a fresh simulated network.
 const DefaultShardSize = 256
 
-// DefaultBurst is how many consecutive trials a worker claims per
-// visit to the shared dispatch counter (NDN-DPDK's burst size): one
-// atomic op amortised over 64 trials instead of one channel rendezvous
-// per trial, and consecutive indices keep each worker's result writes
-// on adjacent cache lines.
-const DefaultBurst = 64
+// burst is how many consecutive trials a worker claims per visit to
+// the shared dispatch counter (NDN-DPDK's burst size): one atomic op
+// amortised over 64 trials instead of one channel rendezvous per
+// trial, and consecutive indices keep each worker's result writes on
+// adjacent cache lines. Like Parallelism it affects only scheduling,
+// never results. A job of at most 64 shards therefore runs on one
+// worker.
+const burst = 64
 
 // Shard is one independently simulable slice of a job's population:
 // the half-open item range [Start, Start+Count) plus the seed every
@@ -68,10 +71,6 @@ type Job struct {
 	// Parallelism is the worker count; 0 means GOMAXPROCS. It affects
 	// only wall-clock time, never results.
 	Parallelism int
-	// Burst is how many consecutive trials a worker claims per visit
-	// to the dispatch counter; 0 means DefaultBurst. Like Parallelism
-	// it affects only scheduling, never results.
-	Burst int
 	// OnTrialDone, when non-nil, observes trial completions. Calls are
 	// serialized and done is monotonic, but which shard completed is
 	// deliberately not reported: completion order depends on
@@ -84,13 +83,6 @@ func (j Job) shardSize() int {
 		return j.ShardSize
 	}
 	return DefaultShardSize
-}
-
-func (j Job) burst() int {
-	if j.Burst > 0 {
-		return j.Burst
-	}
-	return DefaultBurst
 }
 
 // Shards returns the job's deterministic shard plan: contiguous item
@@ -147,71 +139,73 @@ func DeriveSeedKey(base int64, key string) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// Trial is one executable unit of a job: a shard bound to the function
-// that simulates it.
-type Trial[T any] struct {
-	Shard Shard
-	Fn    func(Shard) T
+// RunCtx plans the job's shards, runs fn on each of them on the worker
+// pool, and returns the results in shard order: RunWorkersCtx without
+// per-worker state.
+func RunCtx[T any](ctx context.Context, j Job, fn func(Shard) T) ([]T, error) {
+	return RunWorkersCtx(ctx, j, func() struct{} { return struct{}{} }, func(_ struct{}, sh Shard) T { return fn(sh) })
 }
 
-// Trials binds every shard of the job to fn.
-func Trials[T any](j Job, fn func(Shard) T) []Trial[T] {
+// Resettable is the optional reuse hook for RunWorkersCtx states: when a
+// worker's state implements it, Reset is called with the shard about
+// to run, before fn. States use it to rewind scratch arenas (wire
+// pools, result slices) to empty without releasing their capacity —
+// the per-shard setup cost that burst execution exists to amortize.
+//
+// Reset must restore every piece of state a trial can observe:
+// anything it leaves behind would make results depend on which shards
+// a worker previously ran, breaking the determinism contract.
+type Resettable interface {
+	Reset(Shard)
+}
+
+// RunWorkersCtx runs the job with one state per worker, so trials on
+// the same worker can reuse allocation-heavy scratch (wire-buffer
+// pools, result accumulators) across shards instead of rebuilding it
+// per trial. newState is called once per worker, on that worker's
+// goroutine, before its first shard; if the state implements
+// Resettable it is Reset before every shard including the first.
+// Results are returned in shard order, regardless of the order trials
+// finish in.
+//
+// Shards already dispatched run to completion (a shard's simulation is
+// not interruptible), but no new shard starts once ctx is cancelled,
+// and the context's error is returned. On cancellation the result
+// slice is partial — callers must treat a non-nil error as fatal
+// rather than merge the partial results. With a background context
+// the error is always nil.
+func RunWorkersCtx[S, T any](ctx context.Context, j Job, newState func() S, fn func(S, Shard) T) ([]T, error) {
 	shards := j.Shards()
-	trials := make([]Trial[T], len(shards))
-	for i, sh := range shards {
-		trials[i] = Trial[T]{Shard: sh, Fn: fn}
+	results := make([]T, len(shards))
+	workers := j.Parallelism
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	return trials
-}
-
-// Workers resolves a requested parallelism: values <= 0 mean
-// GOMAXPROCS.
-func Workers(requested int) int {
-	if requested > 0 {
-		return requested
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// Execute runs the trials on a pool of Workers(parallelism) goroutines
-// and returns their results in trial order, regardless of completion
-// order. onDone, when non-nil, is invoked (serialized) after each
-// trial completes.
-func Execute[T any](parallelism int, trials []Trial[T], onDone func(done, total int)) []T {
-	results, _ := ExecuteCtx(context.Background(), parallelism, trials, onDone)
-	return results
-}
-
-// ExecuteCtx is Execute under a cancellable context: trials already
-// dispatched run to completion (a shard's simulation is not
-// interruptible), but no new trial starts once ctx is cancelled, and
-// the context's error is returned. On cancellation the result slice
-// is partial — callers must treat a non-nil error as fatal rather
-// than merge the partial results.
-func ExecuteCtx[T any](ctx context.Context, parallelism int, trials []Trial[T], onDone func(done, total int)) ([]T, error) {
-	results := make([]T, len(trials))
-	workers := Workers(parallelism)
-	if workers > len(trials) {
-		workers = len(trials)
-	}
-	err := executeBursts(ctx, workers, DefaultBurst, len(trials), func(_, i int) {
-		results[i] = trials[i].Fn(trials[i].Shard)
-	}, onDone)
+	workers = min(workers, len(shards))
+	states := make([]S, workers)
+	made := make([]bool, workers)
+	err := executeBursts(ctx, workers, len(shards), func(w, i int) {
+		if !made[w] {
+			states[w] = newState()
+			made[w] = true
+		}
+		if r, ok := any(states[w]).(Resettable); ok {
+			r.Reset(shards[i])
+		}
+		results[i] = fn(states[w], shards[i])
+	}, j.OnTrialDone)
 	return results, err
 }
 
-// executeBursts is the dispatch core under Execute and RunWorkers: it
-// invokes run(worker, i) exactly once for every i in [0, total) that
-// starts before ctx is cancelled, with worker in [0, workers) stable
-// per goroutine (the hook per-worker state hangs off). Workers claim
-// index ranges of `burst` off a shared atomic counter — no channel
-// rendezvous per trial — and walk each range in order, so one worker's
-// result writes land on adjacent cache lines. onDone, when non-nil, is
-// called serialized with a strictly monotonic done count.
-func executeBursts(ctx context.Context, workers, burst, total int, run func(worker, i int), onDone func(done, total int)) error {
-	if burst <= 0 {
-		burst = DefaultBurst
-	}
+// executeBursts is the dispatch core under RunWorkersCtx: it invokes
+// run(worker, i) exactly once for every i in [0, total) that starts
+// before ctx is cancelled, with worker in [0, workers) stable per
+// goroutine (the hook per-worker state hangs off). Workers claim index
+// ranges of burst off a shared atomic counter — no channel rendezvous
+// per trial — and walk each range in order, so one worker's result
+// writes land on adjacent cache lines. onDone, when non-nil, is called
+// serialized with a strictly monotonic done count.
+func executeBursts(ctx context.Context, workers, total int, run func(worker, i int), onDone func(done, total int)) error {
 	if workers <= 1 {
 		for i := 0; i < total; i++ {
 			if err := ctx.Err(); err != nil {
@@ -239,14 +233,11 @@ func executeBursts(ctx context.Context, workers, burst, total int, run func(work
 				if ctx.Err() != nil {
 					return
 				}
-				start := int(next.Add(int64(burst))) - burst
+				start := int(next.Add(burst)) - burst
 				if start >= total {
 					return
 				}
-				end := start + burst
-				if end > total {
-					end = total
-				}
+				end := min(start+burst, total)
 				for i := start; i < end; i++ {
 					if ctx.Err() != nil {
 						return
@@ -267,128 +258,4 @@ func executeBursts(ctx context.Context, workers, burst, total int, run func(work
 	}
 	wg.Wait()
 	return ctx.Err()
-}
-
-// Run plans the job's shards, binds them to fn and executes them on
-// the pool: the one-call form of Trials + Execute.
-func Run[T any](j Job, fn func(Shard) T) []T {
-	return Execute(j.Parallelism, Trials(j, fn), j.OnTrialDone)
-}
-
-// RunCtx is Run under a cancellable context: long sweeps abort
-// between shards when ctx is cancelled, returning the context's
-// error. With a background context the error is always nil.
-func RunCtx[T any](ctx context.Context, j Job, fn func(Shard) T) ([]T, error) {
-	return ExecuteCtx(ctx, j.Parallelism, Trials(j, fn), j.OnTrialDone)
-}
-
-// Resettable is the optional reuse hook for RunWorkers states: when a
-// worker's state implements it, Reset is called with the shard about
-// to run, before fn. States use it to rewind scratch arenas (wire
-// pools, result slices) to empty without releasing their capacity —
-// the per-shard setup cost that burst execution exists to amortize.
-//
-// Reset must restore every piece of state a trial can observe:
-// anything it leaves behind would make results depend on which shards
-// a worker previously ran, breaking the determinism contract.
-type Resettable interface {
-	Reset(Shard)
-}
-
-// RunWorkers runs the job with one state per worker, so trials on the
-// same worker can reuse allocation-heavy scratch (wire-buffer pools,
-// result accumulators) across shards instead of rebuilding it per
-// trial. newState is called once per worker, on that worker's
-// goroutine, before its first shard; if the state implements
-// Resettable it is Reset before every shard including the first.
-// Results are returned in shard order like Run.
-func RunWorkers[S, T any](j Job, newState func() S, fn func(S, Shard) T) []T {
-	results, _ := RunWorkersCtx(context.Background(), j, newState, fn)
-	return results
-}
-
-// RunWorkersCtx is RunWorkers under a cancellable context, with
-// ExecuteCtx's cancellation semantics: no new shard starts after ctx
-// is cancelled, and partial results must not be merged.
-func RunWorkersCtx[S, T any](ctx context.Context, j Job, newState func() S, fn func(S, Shard) T) ([]T, error) {
-	return RunWorkersCachedCtx[S, T](ctx, j, nil, newState, fn)
-}
-
-// ShardCache memoizes shard results across runs. Lookup and Store are
-// called from worker goroutines concurrently and must be safe for
-// concurrent use. The contract only makes sense for deterministic
-// trials: a stored result must be exactly what fn would have produced
-// for that shard — the campaign's identity-seeded cells qualify, a
-// shard whose output depends on anything but (Shard, fn) does not.
-type ShardCache[T any] interface {
-	// Lookup returns the memoized result for sh, if present.
-	Lookup(sh Shard) (T, bool)
-	// Store records fn's result for sh. Store may be called by several
-	// workers for distinct shards at once (never twice for the same
-	// shard within one run).
-	Store(sh Shard, result T)
-}
-
-// RunWorkersCachedCtx is RunWorkersCtx with a memoization hook at
-// shard dispatch: a shard whose result is already in cache skips state
-// construction, Reset and fn entirely — its result comes straight from
-// the cache — and every freshly computed result is stored back. A nil
-// cache degrades to plain RunWorkersCtx. Cancellation semantics are
-// unchanged; results produced before cancellation are still stored, so
-// an aborted sweep resumed later recomputes only what never ran.
-func RunWorkersCachedCtx[S, T any](ctx context.Context, j Job, cache ShardCache[T], newState func() S, fn func(S, Shard) T) ([]T, error) {
-	shards := j.Shards()
-	results := make([]T, len(shards))
-	workers := Workers(j.Parallelism)
-	if workers > len(shards) {
-		workers = len(shards)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	states := make([]S, workers)
-	made := make([]bool, workers)
-	err := executeBursts(ctx, workers, j.burst(), len(shards), func(w, i int) {
-		if cache != nil {
-			if r, ok := cache.Lookup(shards[i]); ok {
-				results[i] = r
-				return
-			}
-		}
-		if !made[w] {
-			states[w] = newState()
-			made[w] = true
-		}
-		if r, ok := any(states[w]).(Resettable); ok {
-			r.Reset(shards[i])
-		}
-		results[i] = fn(states[w], shards[i])
-		if cache != nil {
-			cache.Store(shards[i], results[i])
-		}
-	}, j.OnTrialDone)
-	return results, err
-}
-
-// Parallel executes independent heterogeneous thunks on the pool —
-// for experiment suites whose trials are a fixed set of dissimilar
-// simulations (e.g. the Table 6 attack comparison) rather than shards
-// of one population. Each thunk must be self-contained like any other
-// trial.
-func Parallel(parallelism int, fns ...func()) {
-	_ = ParallelCtx(context.Background(), parallelism, fns...)
-}
-
-// ParallelCtx is Parallel under a cancellable context.
-func ParallelCtx(ctx context.Context, parallelism int, fns ...func()) error {
-	trials := make([]Trial[struct{}], len(fns))
-	for i, fn := range fns {
-		fn := fn
-		trials[i] = Trial[struct{}]{
-			Shard: Shard{Index: i, Start: i, Count: 1},
-			Fn:    func(Shard) struct{} { fn(); return struct{}{} },
-		}
-	}
-	_, err := ExecuteCtx(ctx, parallelism, trials, nil)
-	return err
 }

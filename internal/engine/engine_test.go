@@ -4,9 +4,9 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestShardPlanCoversPopulation(t *testing.T) {
@@ -71,6 +71,16 @@ func TestDeriveSeedDeterministicAndSpread(t *testing.T) {
 	}
 }
 
+// run is RunCtx under a background context, which never fails.
+func run[T any](t *testing.T, j Job, fn func(Shard) T) []T {
+	t.Helper()
+	out, err := RunCtx(context.Background(), j, fn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestRunResultsIndependentOfWorkerCount(t *testing.T) {
 	fn := func(sh Shard) []int64 {
 		out := make([]int64, sh.Count)
@@ -82,7 +92,7 @@ func TestRunResultsIndependentOfWorkerCount(t *testing.T) {
 	var reference [][]int64
 	for _, p := range []int{1, 2, 8} {
 		j := Job{Items: 333, ShardSize: 16, Seed: 99, Parallelism: p}
-		got := Run(j, fn)
+		got := run(t, j, fn)
 		if reference == nil {
 			reference = got
 			continue
@@ -107,26 +117,29 @@ func TestExecuteReportsProgress(t *testing.T) {
 			}
 			last = done
 		}}
-	Run(j, func(sh Shard) int { return sh.Index })
+	run(t, j, func(sh Shard) int { return sh.Index })
 	if calls != 5 || last != 5 {
 		t.Fatalf("progress calls=%d last=%d, want 5/5", calls, last)
 	}
 }
 
+// TestParallelRunsAllThunks: a fixed set of dissimilar thunks runs as a
+// job of one-item shards that index the thunk slice, each exactly once.
 func TestParallelRunsAllThunks(t *testing.T) {
 	var n atomic.Int64
 	fns := make([]func(), 17)
 	for i := range fns {
 		fns[i] = func() { n.Add(1) }
 	}
-	Parallel(4, fns...)
+	run(t, Job{Items: len(fns), ShardSize: 1, Parallelism: 4},
+		func(sh Shard) struct{} { fns[sh.Start](); return struct{}{} })
 	if n.Load() != 17 {
 		t.Fatalf("ran %d thunks, want 17", n.Load())
 	}
 }
 
 func TestEmptyJob(t *testing.T) {
-	if got := Run(Job{Items: 0, Seed: 1}, func(Shard) int { return 1 }); len(got) != 0 {
+	if got := run(t, Job{Items: 0, Seed: 1}, func(Shard) int { return 1 }); len(got) != 0 {
 		t.Fatalf("empty job produced %d results", len(got))
 	}
 }
@@ -167,8 +180,9 @@ func TestRunCtxCancellationStopsDispatch(t *testing.T) {
 	}
 }
 
-// TestRunCtxBackgroundMatchesRun: with a background context RunCtx is
-// Run — same results, nil error.
+// TestRunCtxBackgroundMatchesRun: with a background context RunCtx
+// returns a nil error and exactly the results of the equivalent
+// RunWorkersCtx call it wraps.
 func TestRunCtxBackgroundMatchesRun(t *testing.T) {
 	fn := func(sh Shard) int64 { return sh.Seed + int64(sh.Start) }
 	j := Job{Items: 40, ShardSize: 8, Seed: 12, Parallelism: 4}
@@ -176,8 +190,13 @@ func TestRunCtxBackgroundMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := Run(j, fn); !reflect.DeepEqual(got, want) {
-		t.Fatal("RunCtx(Background) differs from Run")
+	want, err := RunWorkersCtx(context.Background(), j, func() *struct{} { return nil },
+		func(_ *struct{}, sh Shard) int64 { return fn(sh) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("RunCtx(Background) differs from RunWorkersCtx")
 	}
 }
 
@@ -204,9 +223,21 @@ func TestDeriveSeedKeyStableAndDistinct(t *testing.T) {
 	}
 }
 
+// runWorkers is RunWorkersCtx under a background context.
+func runWorkers[S, T any](t *testing.T, j Job, newState func() S, fn func(S, Shard) T) []T {
+	t.Helper()
+	out, err := RunWorkersCtx(context.Background(), j, newState, fn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestRunWorkersResultsIndependentOfWorkersAndBurst pins the
-// determinism contract across the burst dispatcher: neither the worker
-// count nor the burst size may change results or their order.
+// determinism contract across the burst dispatcher: the worker count
+// may not change results or their order, even when every worker claims
+// several bursts (1000 shards is more than two 64-shard bursts per
+// worker at parallelism 8).
 func TestRunWorkersResultsIndependentOfWorkersAndBurst(t *testing.T) {
 	type state struct{ scratch []int64 }
 	fn := func(s *state, sh Shard) int64 {
@@ -215,36 +246,49 @@ func TestRunWorkersResultsIndependentOfWorkersAndBurst(t *testing.T) {
 	}
 	var reference []int64
 	for _, p := range []int{1, 2, 8} {
-		for _, burst := range []int{1, 3, 64, 1000} {
-			j := Job{Items: 333, ShardSize: 4, Seed: 99, Parallelism: p, Burst: burst}
-			got := RunWorkers(j, func() *state { return &state{} }, fn)
-			if reference == nil {
-				reference = got
-				continue
-			}
-			if !reflect.DeepEqual(got, reference) {
-				t.Fatalf("parallelism %d burst %d changed results", p, burst)
-			}
+		j := Job{Items: 4000, ShardSize: 4, Seed: 99, Parallelism: p}
+		got := runWorkers(t, j, func() *state { return &state{} }, fn)
+		if reference == nil {
+			reference = got
+			continue
+		}
+		if !reflect.DeepEqual(got, reference) {
+			t.Fatalf("parallelism %d changed results", p)
 		}
 	}
 }
 
 // TestRunWorkersStatePerWorker: newState runs once per participating
 // worker, every shard sees a state, and Reset is called with the
-// shard about to run — before fn, every time.
+// shard about to run — before fn, every time. The job spans two
+// 64-shard bursts per worker, and no trial proceeds until a second
+// worker has built its state, so the test always covers several
+// workers.
 func TestRunWorkersStatePerWorker(t *testing.T) {
+	const items = 4 * 2 * burst
 	var made atomic.Int64
-	j := Job{Items: 64, ShardSize: 1, Seed: 5, Parallelism: 4, Burst: 4}
-	states := RunWorkers(j,
-		func() *resettableState { made.Add(1); return &resettableState{} },
+	second := make(chan struct{})
+	j := Job{Items: items, ShardSize: 1, Seed: 5, Parallelism: 4}
+	states := runWorkers(t, j,
+		func() *resettableState {
+			if made.Add(1) == 2 {
+				close(second)
+			}
+			return &resettableState{}
+		},
 		func(s *resettableState, sh Shard) *resettableState {
+			select {
+			case <-second:
+			case <-time.After(10 * time.Second):
+				t.Error("no second worker ever started")
+			}
 			if len(s.resets) == 0 || s.resets[len(s.resets)-1] != sh.Index {
 				t.Errorf("shard %d ran without a preceding Reset", sh.Index)
 			}
 			return s
 		})
-	if n := made.Load(); n < 1 || n > 4 {
-		t.Fatalf("newState ran %d times, want 1..4", n)
+	if n := made.Load(); n < 2 || n > 4 {
+		t.Fatalf("newState ran %d times, want 2..4", n)
 	}
 	// Every shard's Reset happened on exactly one state, once.
 	seen := map[int]int{}
@@ -258,10 +302,28 @@ func TestRunWorkersStatePerWorker(t *testing.T) {
 			seen[idx]++
 		}
 	}
-	for i := 0; i < 64; i++ {
+	for i := 0; i < items; i++ {
 		if seen[i] != 1 {
 			t.Fatalf("shard %d reset %d times, want 1", i, seen[i])
 		}
+	}
+}
+
+// TestRunWorkersCachedNilCacheMatchesUncached: memoization lives in
+// the caller's shard function (campaign.RunContext looks cells up in
+// Config.Cache), so a run without a cache is plain RunWorkersCtx, and
+// its results must be exactly fn applied to the shard plan, in shard
+// order — the reference a cached run has to reproduce.
+func TestRunWorkersCachedNilCacheMatchesUncached(t *testing.T) {
+	j := Job{Items: 17, ShardSize: 2, Seed: 3, Parallelism: 3}
+	fn := func(_ *struct{}, sh Shard) int64 { return sh.Seed ^ int64(sh.Start) }
+	got := runWorkers(t, j, func() *struct{} { return nil }, fn)
+	var want []int64
+	for _, sh := range j.Shards() {
+		want = append(want, fn(nil, sh))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("uncached results diverge from the shard plan: %v vs %v", got, want)
 	}
 }
 
@@ -270,13 +332,15 @@ type resettableState struct{ resets []int }
 func (s *resettableState) Reset(sh Shard) { s.resets = append(s.resets, sh.Index) }
 
 // TestRunWorkersCtxCancellation: the burst dispatcher must honour the
-// no-new-trials-after-cancel rule on both the serial and parallel
-// paths, like ExecuteCtx.
+// no-new-trials-after-cancel rule on the parallel path, both for a
+// pre-cancelled context and for one cancelled mid-burst, when the job
+// spans several bursts per worker.
 func TestRunWorkersCtxCancellation(t *testing.T) {
+	const items, workers = 2 * 8 * burst, 8
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran atomic.Int64
-	_, err := RunWorkersCtx(ctx, Job{Items: 64, ShardSize: 1, Seed: 4, Parallelism: 8, Burst: 4},
+	_, err := RunWorkersCtx(ctx, Job{Items: items, ShardSize: 1, Seed: 4, Parallelism: workers},
 		func() int { return 0 },
 		func(int, Shard) int { ran.Add(1); return 0 })
 	if !errors.Is(err, context.Canceled) {
@@ -285,125 +349,24 @@ func TestRunWorkersCtxCancellation(t *testing.T) {
 	if ran.Load() != 0 {
 		t.Fatalf("%d trials ran under a pre-cancelled context, want 0", ran.Load())
 	}
-}
 
-// mapCache is a minimal ShardCache for tests: a mutex map keyed by
-// shard index, counting hits and stores.
-type mapCache[T any] struct {
-	mu     sync.Mutex
-	m      map[int]T
-	hits   int
-	stores int
-}
-
-func newMapCache[T any]() *mapCache[T] { return &mapCache[T]{m: make(map[int]T)} }
-
-func (c *mapCache[T]) Lookup(sh Shard) (T, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r, ok := c.m[sh.Index]
-	if ok {
-		c.hits++
-	}
-	return r, ok
-}
-
-func (c *mapCache[T]) Store(sh Shard, r T) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m[sh.Index] = r
-	c.stores++
-}
-
-func TestRunWorkersCachedSkipsComputation(t *testing.T) {
-	j := Job{Items: 40, ShardSize: 1, Seed: 7, Parallelism: 4, Burst: 4}
-	cache := newMapCache[int]()
-	var calls atomic.Int64
-	run := func() []int {
-		out, err := RunWorkersCachedCtx(context.Background(), j, cache,
-			func() *struct{} { return nil },
-			func(_ *struct{}, sh Shard) int { calls.Add(1); return sh.Start * 3 })
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	cold := run()
-	if got := calls.Load(); got != 40 {
-		t.Fatalf("cold run computed %d shards, want 40", got)
-	}
-	if cache.stores != 40 {
-		t.Fatalf("cold run stored %d results, want 40", cache.stores)
-	}
-	warm := run()
-	if got := calls.Load(); got != 40 {
-		t.Fatalf("warm run recomputed %d shards, want 0", got-40)
-	}
-	if cache.hits != 40 {
-		t.Fatalf("warm run hit cache %d times, want 40", cache.hits)
-	}
-	if !reflect.DeepEqual(cold, warm) {
-		t.Fatalf("cached results differ: %v vs %v", cold, warm)
-	}
-	for i, v := range cold {
-		if v != i*3 {
-			t.Fatalf("result[%d] = %d, want %d", i, v, i*3)
-		}
-	}
-}
-
-func TestRunWorkersCachedNilCacheMatchesUncached(t *testing.T) {
-	j := Job{Items: 17, ShardSize: 2, Seed: 3, Parallelism: 3}
-	fn := func(_ *struct{}, sh Shard) int64 { return sh.Seed ^ int64(sh.Start) }
-	newState := func() *struct{} { return nil }
-	plain, err := RunWorkersCtx(context.Background(), j, newState, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached, err := RunWorkersCachedCtx[*struct{}, int64](context.Background(), j, nil, newState, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plain, cached) {
-		t.Fatalf("nil-cache results diverge: %v vs %v", plain, cached)
-	}
-}
-
-// TestRunWorkersCachedStoresBeforeCancellation: results computed before
-// a cancellation are in the cache, so a resumed run only recomputes the
-// shards that never ran.
-func TestRunWorkersCachedStoresBeforeCancellation(t *testing.T) {
-	cache := newMapCache[int]()
-	ctx, cancel := context.WithCancel(context.Background())
-	j := Job{Items: 20, ShardSize: 1, Seed: 1, Parallelism: 1}
-	var calls int
-	_, err := RunWorkersCachedCtx(ctx, j, cache,
-		func() *struct{} { return nil },
-		func(_ *struct{}, sh Shard) int {
-			calls++
-			if calls == 5 {
+	// Cancelled by the 100th trial: every worker finishes the trial it
+	// is in, then stops.
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	ran.Store(0)
+	_, err = RunWorkersCtx(ctx, Job{Items: items, ShardSize: 1, Seed: 4, Parallelism: workers},
+		func() int { return 0 },
+		func(int, Shard) int {
+			if ran.Add(1) == 100 {
 				cancel()
 			}
-			return sh.Start
+			return 0
 		})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want canceled", err)
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if cache.stores != 5 {
-		t.Fatalf("stored %d results before cancel, want 5", cache.stores)
-	}
-	out, err := RunWorkersCachedCtx(context.Background(), j, cache,
-		func() *struct{} { return nil },
-		func(_ *struct{}, sh Shard) int { calls++; return sh.Start })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 20 {
-		t.Fatalf("resume recomputed %d shards, want 15 new (20 total calls, got %d)", calls-5, calls)
-	}
-	for i, v := range out {
-		if v != i {
-			t.Fatalf("resumed result[%d] = %d", i, v)
-		}
+	if n := ran.Load(); n < 100 || n > 100+workers-1 {
+		t.Fatalf("%d trials ran, want 100..%d: none may start after the cancel", n, 100+workers-1)
 	}
 }

@@ -29,24 +29,18 @@ type Comparison struct {
 }
 
 // RunComparison executes each methodology end-to-end on the canonical
-// scenario and the same-prefix simulation on a synthetic topology.
-// sadPorts bounds the SadDNS scan range (the paper's resolvers expose
-// ~28k ports; tests use less).
+// scenario and the same-prefix simulation on a synthetic topology,
+// under an explicit execution Config (only Seed and Parallelism apply;
+// the comparison has no population to cap or shard). sadPorts bounds
+// the SadDNS scan range (the paper's resolvers expose ~28k ports;
+// tests use less).
 //
 // The five measurements are independent trials — each builds its own
-// scenario or topology from its own seed offset — so they fan out
-// through the experiment engine's worker pool; results are identical
-// to a serial run.
-func RunComparison(seed int64, sadPorts int) Comparison {
-	cmp, _ := RunComparisonWith(context.Background(), Config{Seed: seed}, sadPorts)
-	return cmp
-}
-
-// RunComparisonWith is RunComparison under an explicit execution
-// Config (only Seed and Parallelism apply; the comparison has no
-// population to cap or shard). A cancelled ctx aborts between the
-// five independent measurements.
-func RunComparisonWith(ctx context.Context, cfg Config, sadPorts int) (Comparison, error) {
+// scenario or topology from its own seed offset — run as a five-shard
+// engine job, so a cancelled ctx aborts between them. The engine hands
+// out shards in bursts of 64, so today all five run on one worker;
+// results are identical to a serial run either way.
+func RunComparison(ctx context.Context, cfg Config, sadPorts int) (Comparison, error) {
 	seed := cfg.Seed
 	var cmp Comparison
 
@@ -144,7 +138,12 @@ func RunComparisonWith(ctx context.Context, cfg Config, sadPorts int) (Compariso
 		cmp.SamePrefixRate = core.SamePrefixInterceptionRate(topo, netip.MustParsePrefix("10.0.0.0/22"), pairs)
 	}
 
-	if err := engine.ParallelCtx(ctx, cfg.Parallelism, hijack, saddns, fragGlobal, fragRandom, samePrefix); err != nil {
+	thunks := []func(){hijack, saddns, fragGlobal, fragRandom, samePrefix}
+	job := engine.Job{Name: "table6", Items: len(thunks), ShardSize: 1, Parallelism: cfg.Parallelism}
+	if _, err := engine.RunCtx(ctx, job, func(sh engine.Shard) struct{} {
+		thunks[sh.Start]()
+		return struct{}{}
+	}); err != nil {
 		return Comparison{}, err
 	}
 	return cmp, nil
@@ -201,7 +200,7 @@ func max(a, b int) int {
 // comparison Report. This is the one-call form cmd/xlmeasure and the
 // golden-artifact suite share.
 func Table6Run(ctx context.Context, cfg Config, sadPorts int) (*report.Report, Comparison, error) {
-	cmp, err := RunComparisonWith(ctx, Config{Seed: cfg.Seed, Parallelism: cfg.Parallelism}, sadPorts)
+	cmp, err := RunComparison(ctx, Config{Seed: cfg.Seed, Parallelism: cfg.Parallelism}, sadPorts)
 	if err != nil {
 		return nil, Comparison{}, err
 	}
@@ -221,17 +220,12 @@ func Table6Run(ctx context.Context, cfg Config, sadPorts int) (*report.Report, C
 	return rep, cmp, nil
 }
 
-// Table5 reproduces the ANY-caching comparison across resolver
+// Table5Run reproduces the ANY-caching comparison across resolver
 // implementations by querying ANY then A through each profile and
-// checking whether the A query was served from the ANY answer.
-func Table5(seed int64) (*report.Report, map[string]bool) {
-	rep, res, _ := Table5Run(context.Background(), Config{Seed: seed})
-	return rep, res
-}
-
-// Table5Run is Table5 under an explicit execution Config: one trial
-// per implementation profile, each on its own scenario, executed on
-// the engine's worker pool and rendered in profile order.
+// checking whether the A query was served from the ANY answer: one
+// trial per implementation profile, each on its own scenario, run as
+// an engine job (five shards, so today on one worker) and rendered in
+// profile order.
 func Table5Run(ctx context.Context, cfg Config) (*report.Report, map[string]bool, error) {
 	rep := report.New("table5", "Table 5: ANY-caching behaviour per resolver implementation")
 	tbl := rep.AddSection(report.Table("", "Table 5: ANY caching results of popular resolvers",

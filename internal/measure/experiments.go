@@ -129,7 +129,7 @@ func init() {
 // rate the paper quotes (~80%).
 func runSameHijack(ctx context.Context, spec report.Spec) (*report.Report, error) {
 	ports := sadPorts(spec, defaultSameHijackSadPorts)
-	cmp, err := RunComparisonWith(ctx, ConfigFromSpec(spec), ports)
+	cmp, err := RunComparison(ctx, ConfigFromSpec(spec), ports)
 	if err != nil {
 		return nil, err
 	}

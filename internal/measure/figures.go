@@ -53,15 +53,6 @@ func barColumns() []report.Column {
 	}
 }
 
-// Figure3 builds the announced-prefix-length CDFs for open-resolver
-// and ad-net resolver populations and the Alexa nameserver population
-// (paper Figure 3) with default execution settings, returning the
-// rendered text for convenience.
-func Figure3(sampleCap int, seed int64) (string, map[string]*stats.CDF) {
-	rep, curves, _ := Figure3Run(context.Background(), Config{SampleCap: sampleCap, Seed: seed})
-	return rep.String(), curves
-}
-
 // Figure3Run builds the Figure 3 Report under an explicit execution
 // Config: one bars section, one group per population curve, the
 // per-prefix-length share as the plotted value.
@@ -113,14 +104,6 @@ func Figure3Run(ctx context.Context, cfg Config) (*report.Report, map[string]*st
 	return rep, curves, nil
 }
 
-// Figure4 renders resolver EDNS buffer sizes against nameserver
-// minimum fragment sizes (paper Figure 4) with default execution
-// settings.
-func Figure4(sampleCap int, seed int64) (string, *stats.CDF, *stats.CDF) {
-	rep, edns, frag, _ := Figure4Run(context.Background(), Config{SampleCap: sampleCap, Seed: seed})
-	return rep.String(), edns, frag
-}
-
 // Figure4Run builds the Figure 4 Report under an explicit execution
 // Config: one bars section, the cumulative fraction at each size
 // breakpoint per curve.
@@ -163,14 +146,6 @@ func Figure4Run(ctx context.Context, cfg Config) (*report.Report, *stats.CDF, *s
 		}
 	}
 	return rep, edns, frag, nil
-}
-
-// Figure5 builds the Venn partitions of vulnerable resolvers and
-// domains across the three methods (paper Figure 5) with default
-// execution settings.
-func Figure5(sampleCap int, seed int64) (string, stats.Venn3, stats.Venn3) {
-	rep, rv, dv, _ := Figure5Run(context.Background(), Config{SampleCap: sampleCap, Seed: seed})
-	return rep.String(), rv, dv
 }
 
 // Figure5Run builds the Figure 5 Report under an explicit execution

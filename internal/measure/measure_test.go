@@ -1,8 +1,11 @@
 package measure
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"crosslayer/internal/engine"
 )
 
 // TestScannersRecoverGroundTruth validates the heart of the §5
@@ -11,7 +14,7 @@ import (
 // resolver.
 func TestScannersRecoverGroundTruth(t *testing.T) {
 	spec := Table3Datasets()[7] // open resolvers: 74/12/31
-	f := NewResolverFleet(spec, 150, 1)
+	f := NewResolverFleetShard(spec, engine.Shard{Count: 150, Seed: 1})
 	r := ScanResolverFleet(f)
 	if r.Scanned != 150 {
 		t.Fatalf("scanned %d", r.Scanned)
@@ -32,7 +35,7 @@ func TestScannersRecoverGroundTruth(t *testing.T) {
 
 func TestDomainScannersRecoverGroundTruth(t *testing.T) {
 	spec := Table4Datasets()[0] // eduroam: highest rates, best signal
-	f := NewDomainFleet(spec, 120, 2)
+	f := NewDomainFleetShard(spec, engine.Shard{Count: 120, Seed: 2})
 	r := ScanDomainFleet(f)
 	fragGlobalTruth := 0
 	for i, d := range f.Domains {
@@ -61,7 +64,10 @@ func TestDomainScannersRecoverGroundTruth(t *testing.T) {
 // TestTable3RatesMatchPaperShape checks the measured rates stay within
 // sampling noise of the paper's reported marginals.
 func TestTable3RatesMatchPaperShape(t *testing.T) {
-	tbl, results := Table3(120, 3)
+	tbl, results, err := Table3Run(context.Background(), Config{SampleCap: 120, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(results) != 9 {
 		t.Fatalf("%d datasets", len(results))
 	}
@@ -85,7 +91,10 @@ func TestTable3RatesMatchPaperShape(t *testing.T) {
 }
 
 func TestTable4RatesMatchPaperShape(t *testing.T) {
-	_, results := Table4(100, 4)
+	_, results, err := Table4Run(context.Background(), Config{SampleCap: 100, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(results) != 10 {
 		t.Fatalf("%d datasets", len(results))
 	}
@@ -100,7 +109,10 @@ func TestTable4RatesMatchPaperShape(t *testing.T) {
 }
 
 func TestComparisonTable6Shape(t *testing.T) {
-	cmp := RunComparison(5, 800)
+	cmp, err := RunComparison(context.Background(), Config{Seed: 5}, 800)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !cmp.Hijack.Success || !cmp.SadDNS.Success || !cmp.FragGlobal.Success {
 		t.Fatalf("attacks failed: %+v %+v %+v", cmp.Hijack, cmp.SadDNS, cmp.FragGlobal)
 	}
@@ -126,7 +138,10 @@ func TestComparisonTable6Shape(t *testing.T) {
 }
 
 func TestTable5MatchesPaper(t *testing.T) {
-	_, res := Table5(6)
+	_, res, err := Table5Run(context.Background(), Config{Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := map[string]bool{
 		"BIND 9.14.0": true, "Unbound 1.9.1": false,
 		"PowerDNS Recursor 4.3.0": true, "systemd resolved 245": true,
@@ -170,8 +185,11 @@ func TestTable1RowsCoverPaperMatrix(t *testing.T) {
 }
 
 func TestFigure3Shapes(t *testing.T) {
-	out, curves := Figure3(150, 7)
-	if !strings.Contains(out, "Nameservers: Alexa") {
+	rep, curves, err := Figure3Run(context.Background(), Config{SampleCap: 150, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := rep.String(); !strings.Contains(out, "Nameservers: Alexa") {
 		t.Fatalf("figure 3 output:\n%s", out)
 	}
 	for label, c := range curves {
@@ -186,7 +204,10 @@ func TestFigure3Shapes(t *testing.T) {
 }
 
 func TestFigure4Shapes(t *testing.T) {
-	_, edns, frag := Figure4(150, 8)
+	_, edns, frag, err := Figure4Run(context.Background(), Config{SampleCap: 150, Seed: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// ~40% of resolvers at 512 bytes (Figure 4's left partition).
 	at512 := edns.At(512)
 	if at512 < 0.2 || at512 > 0.6 {
@@ -202,8 +223,11 @@ func TestFigure4Shapes(t *testing.T) {
 }
 
 func TestFigure5VennConsistency(t *testing.T) {
-	out, rv, dv := Figure5(80, 9)
-	if !strings.Contains(out, "Figure 5a") {
+	rep, rv, dv, err := Figure5Run(context.Background(), Config{SampleCap: 80, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(rep.String(), "Figure 5a") {
 		t.Fatal("render broken")
 	}
 	// HijackDNS must dominate both unions (paper: "the number of

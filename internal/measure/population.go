@@ -180,13 +180,6 @@ func fleetAddr(i int) netip.Addr {
 	return netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 1})
 }
 
-// NewResolverFleet synthesizes n resolvers drawn from spec using seed,
-// as a single shard covering indices [0, n). The engine-driven scans
-// instead build one fleet per shard with NewResolverFleetShard.
-func NewResolverFleet(spec ResolverDatasetSpec, n int, seed int64) *ResolverFleet {
-	return NewResolverFleetShard(spec, engine.Shard{Start: 0, Count: n, Seed: seed})
-}
-
 // NewResolverFleetShard synthesizes the shard's slice of the
 // population: resolvers with global indices [sh.Start, sh.Start+
 // sh.Count), drawn from spec's calibrated marginals with the shard's

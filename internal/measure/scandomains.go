@@ -57,12 +57,6 @@ func fleetNSAddr(i int) netip.Addr {
 	return netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 53})
 }
 
-// NewDomainFleet synthesizes n domains drawn from spec as a single
-// shard covering indices [0, n).
-func NewDomainFleet(spec DomainDatasetSpec, n int, seed int64) *DomainFleet {
-	return NewDomainFleetShard(spec, engine.Shard{Start: 0, Count: n, Seed: seed})
-}
-
 // NewDomainFleetShard synthesizes the shard's slice of the domain
 // population (global indices [sh.Start, sh.Start+sh.Count)) on a clock
 // and network owned by the shard alone.
@@ -361,13 +355,6 @@ func ScanDomainDataset(ctx context.Context, spec DomainDatasetSpec, n int, cfg C
 		res.Merge(p)
 	}
 	return res, nil
-}
-
-// Table4 runs the full Table 4 reproduction with default execution
-// settings.
-func Table4(sampleCap int, seed int64) (*report.Report, []DomainScanResult) {
-	rep, res, _ := Table4Run(context.Background(), Config{SampleCap: sampleCap, Seed: seed})
-	return rep, res
 }
 
 // Table4Run builds the Table 4 Report under an explicit execution

@@ -203,14 +203,6 @@ func ScanResolverDataset(ctx context.Context, spec ResolverDatasetSpec, n int, c
 	return res, nil
 }
 
-// Table3 runs the full Table 3 reproduction with default execution
-// settings: every dataset scaled to at most sampleCap resolvers,
-// scanned with the three probes.
-func Table3(sampleCap int, seed int64) (*report.Report, []ResolverScanResult) {
-	rep, res, _ := Table3Run(context.Background(), Config{SampleCap: sampleCap, Seed: seed})
-	return rep, res
-}
-
 // Table3Run builds the Table 3 Report under an explicit execution
 // Config: each dataset is sharded and scanned in parallel, with
 // byte-identical output for any Parallelism. The only error source is

@@ -78,6 +78,28 @@ type Spec struct {
 	Downgrade bool
 }
 
+// SplitKeys parses a comma-separated sweep-dimension filter, as the
+// CLI flags and the server's query parameters spell it. The empty
+// string means the full axis and yields nil; otherwise the keys are
+// trimmed and empty entries dropped, and a value with no usable key at
+// all (",", " ") is an error — it must not silently widen to the full
+// axis.
+func SplitKeys(s string) ([]string, error) {
+	if s == "" {
+		return nil, nil
+	}
+	var keys []string
+	for _, k := range strings.Split(s, ",") {
+		if k = strings.TrimSpace(k); k != "" {
+			keys = append(keys, k)
+		}
+	}
+	if len(keys) == 0 {
+		return nil, fmt.Errorf("filter %q has no usable keys", s)
+	}
+	return keys, nil
+}
+
 // Experiment is one registered experiment: a canonical name, a
 // one-line description, and the builder that turns a Spec into a
 // structured Report. Builders must honour ctx cancellation (the

@@ -170,8 +170,7 @@ func (r *Report) Section(name string) *Section {
 	return nil
 }
 
-// String renders the report as text; Report satisfies the facade's
-// TableResult contract.
+// String renders the report as text.
 func (r *Report) String() string { return Text(r) }
 
 // Table starts a LayoutTable section with the given typed columns.

@@ -285,3 +285,32 @@ func TestBaseParams(t *testing.T) {
 		t.Fatalf("zero shard size must not be recorded: %v", r2.Params)
 	}
 }
+
+// TestSplitKeys pins the filter-list grammar shared by the CLI flags
+// and the server's query parameters: empty means the full axis (nil),
+// keys are trimmed with empty entries dropped, and a non-empty value
+// with no usable key is an error rather than a silent full sweep.
+func TestSplitKeys(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want []string
+	}{
+		{"", nil},
+		{"hijack", []string{"hijack"}},
+		{" hijack , saddns ", []string{"hijack", "saddns"}},
+		{"hijack,,frag,", []string{"hijack", "frag"}},
+	} {
+		got, err := SplitKeys(tc.in)
+		if err != nil {
+			t.Fatalf("SplitKeys(%q): %v", tc.in, err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) || (got == nil) != (tc.want == nil) {
+			t.Fatalf("SplitKeys(%q) = %q, want %q", tc.in, got, tc.want)
+		}
+	}
+	for _, in := range []string{",", " ", " , ,", "\t"} {
+		if keys, err := SplitKeys(in); err == nil {
+			t.Fatalf("SplitKeys(%q) = %q, want an error", in, keys)
+		}
+	}
+}

@@ -409,8 +409,9 @@ func (e *eventEncoder) encode(ev *streamEvent) ([]byte, error) {
 // mirroring the xlmeasure flags: n, seed, parallel, shard-size,
 // sad-ports, trials, lattice-rank (integers), methods, victims,
 // profiles, defenses, defense-sets, chain-depths, placement,
-// transports (comma-separated keys) and downgrade (boolean). Unknown
-// parameters are rejected so typos fail loudly instead of silently
+// transports (comma-separated keys, parsed by report.SplitKeys) and
+// downgrade (boolean). Unknown parameters, and list values with no
+// usable key, are rejected so typos fail loudly instead of silently
 // sweeping the full axis.
 func specFromQuery(r *http.Request) (report.Spec, error) {
 	var spec report.Spec
@@ -456,11 +457,11 @@ func specFromQuery(r *http.Request) (report.Spec, error) {
 			}
 			*ints[key] = v
 		case lists[key] != nil:
-			for _, k := range strings.Split(val, ",") {
-				if k = strings.TrimSpace(k); k != "" {
-					*lists[key] = append(*lists[key], k)
-				}
+			keys, err := report.SplitKeys(val)
+			if err != nil {
+				return spec, fmt.Errorf("bad %s: %w", key, err)
 			}
+			*lists[key] = keys
 		default:
 			return spec, fmt.Errorf("unknown parameter %q", key)
 		}

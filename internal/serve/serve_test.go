@@ -322,6 +322,23 @@ func TestServeEndpoints(t *testing.T) {
 	}
 }
 
+// TestServeRejectsEmptyListFilters: a list parameter whose value holds
+// no usable key is a bad request, not a silent sweep of the full axis
+// that would tie up the job queue.
+func TestServeRejectsEmptyListFilters(t *testing.T) {
+	s, _, _ := startServer(t, Config{})
+	for _, query := range []string{"methods=,", "transports=%20", "victims=web&profiles=,%20,"} {
+		resp, err := http.Get("http://" + s.Addr() + "/run/campaign?" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("GET /run/campaign?%s: status %d, want %d", query, resp.StatusCode, http.StatusBadRequest)
+		}
+	}
+}
+
 // TestEventEncoderSteadyStateAllocs pins the pooled NDJSON path: after
 // warm-up, encoding a progress event through the per-job encoder must
 // not allocate — cache-hit sweeps stream one event per shard and the
