@@ -303,8 +303,8 @@ func CampaignReport(cells []CampaignCell, spec ExperimentSpec) *Report {
 func DefaultServerConfig() dnssrv.Config { return dnssrv.DefaultConfig() }
 
 // SweepServerConfig configures a resident sweep server: listen
-// address, cell-cache checkpoint path and interval, pooled-arena
-// retention bound. See the serve package for the wire protocol.
+// address, and cell-cache checkpoint path and interval. See the serve
+// package for the wire protocol.
 type SweepServerConfig = serve.Config
 
 // SweepServer is the campaign-as-a-service daemon behind xlmeasure

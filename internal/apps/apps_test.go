@@ -15,7 +15,6 @@ import (
 // are tested in internal/core).
 func poison(s *scenario.S, name string, typ dnswire.Type, rrs ...*dnswire.RR) {
 	s.Resolver.Cache.Put(name, typ, rrs)
-	s.Resolver.Cache.MarkPoisoned(name, typ)
 }
 
 func poisonA(s *scenario.S, name string) {

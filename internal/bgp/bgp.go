@@ -66,12 +66,6 @@ type AS struct {
 	peers     []ASN
 }
 
-// Providers returns the AS's provider ASNs.
-func (a *AS) Providers() []ASN { return a.providers }
-
-// Customers returns the AS's customer ASNs.
-func (a *AS) Customers() []ASN { return a.customers }
-
 // Peers returns the AS's peer ASNs.
 func (a *AS) Peers() []ASN { return a.peers }
 

@@ -160,9 +160,6 @@ func (r *RIB) matches(s *RIBSnapshot) bool {
 	return true
 }
 
-// Prefixes returns all announced prefixes (longest first).
-func (r *RIB) Prefixes() []netip.Prefix { return append([]netip.Prefix(nil), r.sorted...) }
-
 // CoveringAnnouncement returns the longest announced prefix containing
 // ip, for vulnerability analysis ("is this resolver inside a >/24-able
 // block?").
@@ -191,15 +188,4 @@ func (r *RIB) Resolve(fromAS ASN, ip netip.Addr) (ASN, bool) {
 		// covering prefix.
 	}
 	return 0, false
-}
-
-// RouteOf returns fromAS's selected route for the given announced
-// prefix.
-func (r *RIB) RouteOf(fromAS ASN, prefix netip.Prefix) (Route, bool) {
-	routes, ok := r.routes[prefix.Masked()]
-	if !ok {
-		return Route{}, false
-	}
-	rt, ok := routes[fromAS]
-	return rt, ok
 }

@@ -143,28 +143,6 @@ func TestCampaignCacheSharedAcrossOverlappingSweeps(t *testing.T) {
 	}
 }
 
-// TestCampaignArenaPoolReuseInvisible: runs sharing an ArenaPool must
-// produce exactly the results of runs that don't — worker reuse is an
-// allocator optimisation, never an observable.
-func TestCampaignArenaPoolReuseInvisible(t *testing.T) {
-	ref, err := campaign.RunContext(context.Background(), cacheTestConfig(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	arenas := &campaign.ArenaPool{}
-	for i := 0; i < 3; i++ {
-		cfg := cacheTestConfig(2)
-		cfg.Arenas = arenas
-		got, err := campaign.RunContext(context.Background(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, ref) {
-			t.Fatalf("run %d with pooled arenas diverges from reference", i)
-		}
-	}
-}
-
 // sentinelCache pre-fills a cache with a marker result under the key
 // of every cell cfg plans, so a run that returns only markers never
 // simulated a cell.

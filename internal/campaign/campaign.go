@@ -105,7 +105,7 @@ func Methods() []Method {
 				// there bypasses every resolver-side defense. The
 				// nameserver stays the mute target either way — with it
 				// silenced the whole chain keeps its sockets open.
-				target := core.WeakestPortHop(chainHops(s))
+				target := core.WeakestPortHop(s.Hops())
 				return &core.SadDNS{
 					Attacker:     s.Attacker,
 					ResolverAddr: target.Addr,
@@ -130,7 +130,7 @@ func Methods() []Method {
 				// padded authoritative responses — the recursive resolver
 				// (core.FragmentationHop); the poisoned record still
 				// floods every per-hop cache on the way back down.
-				target := core.FragmentationHop(chainHops(s))
+				target := core.FragmentationHop(s.Hops())
 				return &core.FragDNS{
 					Attacker:     s.Attacker,
 					ResolverAddr: target.Addr,
@@ -147,18 +147,6 @@ func Methods() []Method {
 			},
 		},
 	}
-}
-
-// chainHops converts the scenario's resolution chain into the attack
-// layer's hop model.
-func chainHops(s *scenario.S) []core.Hop {
-	sh := s.Hops()
-	hops := make([]core.Hop, len(sh))
-	for i, h := range sh {
-		hops[i] = core.Hop{Host: h.Host, Addr: h.Addr, Upstream: h.Upstream, Last: i == len(sh)-1,
-			UDPUpstream: h.UDPUpstream, Opportunistic: h.Opportunistic, ForceDowngrade: h.ForceDowngrade}
-	}
-	return hops
 }
 
 // ProfileEntry binds a filter key to a Table 5 resolver profile.
@@ -349,10 +337,6 @@ type Config struct {
 	// Sound because cells are identity-seeded — the cached value is
 	// byte-identical to what a recomputation would produce.
 	Cache CellCache
-	// Arenas, when non-nil, recycles per-worker scratch (wire-buffer
-	// arenas, sample slices) across runs: a resident server sweeps
-	// many jobs without rebuilding warmed allocator state per job.
-	Arenas *ArenaPool
 	// Downgrade runs every cell under active downgrade pressure: each
 	// trial's attack is wrapped in core.Downgrade, which strips
 	// opportunistic hops back to plaintext UDP before the inner attack

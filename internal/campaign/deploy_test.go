@@ -196,33 +196,3 @@ func TestDeployTableRendersCI(t *testing.T) {
 		}
 	}
 }
-
-// TestCampaignArenaPoolNodeRetention pins the satellite retention
-// bound end to end: after a sweep returns its workers to an ArenaPool,
-// every parked worker's clock-event and delivery-node freelists are
-// trimmed to the pool's node cap.
-func TestCampaignArenaPoolNodeRetention(t *testing.T) {
-	arenas := &ArenaPool{MaxPoolNodes: 64}
-	_, err := RunContext(context.Background(), Config{
-		Exec:   measure.Config{Seed: 5},
-		Filter: deployFilter("measured"),
-		Trials: 2,
-		Arenas: arenas,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	arenas.mu.Lock()
-	defer arenas.mu.Unlock()
-	if len(arenas.free) == 0 {
-		t.Fatal("sweep returned no workers to the pool")
-	}
-	for i, w := range arenas.free {
-		if got := w.events.Retained(); got > 64 {
-			t.Errorf("worker %d parked %d event nodes, cap 64", i, got)
-		}
-		if got := w.deliv.Retained(); got > 64 {
-			t.Errorf("worker %d parked %d delivery nodes, cap 64", i, got)
-		}
-	}
-}

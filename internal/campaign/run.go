@@ -67,13 +67,9 @@ func RunContext(ctx context.Context, cfg Config) ([]CellResult, error) {
 		Parallelism: cfg.Exec.Parallelism,
 	}
 	cfg.Exec.WireProgress(&job, "campaign", len(cells))
-	newState := newTrialWorker
-	if cfg.Arenas != nil {
-		lease := cfg.Arenas.beginRun()
-		defer lease.endRun()
-		newState = lease.get
-	}
-	return engine.RunWorkersCtx(ctx, job, newState, func(w *trialWorker, sh engine.Shard) CellResult {
+	var l lease
+	defer l.release()
+	return engine.RunWorkersCtx(ctx, job, l.get, func(w *trialWorker, sh engine.Shard) CellResult {
 		// One shard == one cell (ShardSize 1, so sh.Start indexes the
 		// plan). The shard's positional seed is deliberately unused:
 		// the cell's trials derive from its identity key instead, so
@@ -101,12 +97,13 @@ func RunContext(ctx context.Context, cfg Config) ([]CellResult, error) {
 }
 
 // trialWorker is the scratch one campaign worker reuses across every
-// cell it runs: the wire-buffer arena its trials' networks recycle
-// payloads through, the clock-event and delivery-node freelists those
-// simulations run on, the memoized scenario build artifacts
-// (scenario.Proto), and the per-cell cost-sample slices. Warmed
-// capacity carries across cells; recorded results never alias it
-// (stats.NewCDF copies its samples), so reuse cannot change output.
+// cell it runs, and across runs once parked: the wire-buffer arena its
+// trials' networks recycle payloads through, the clock-event and
+// delivery-node freelists those simulations run on, the memoized
+// scenario build artifacts (scenario.Proto), and the per-cell
+// cost-sample slices. Warmed capacity carries across cells; recorded
+// results never alias it (stats.NewCDF copies its samples), so reuse
+// cannot change output.
 type trialWorker struct {
 	wire   pool.Wire
 	events sim.EventPool
@@ -115,18 +112,6 @@ type trialWorker struct {
 	iters  []float64
 	pkts   []float64
 	secs   []float64
-}
-
-func newTrialWorker() *trialWorker { return &trialWorker{} }
-
-// Reset rewinds the sample slices for the next cell, keeping their
-// capacity. The wire arena, freelists and memoized prototypes
-// deliberately survive Reset: they carry no state between trials, only
-// capacity and immutable (or baseline-restored) build artifacts.
-func (w *trialWorker) Reset(engine.Shard) {
-	w.iters = w.iters[:0]
-	w.pkts = w.pkts[:0]
-	w.secs = w.secs[:0]
 }
 
 // cellConfig assembles the cell's scenario configuration — everything
@@ -171,6 +156,9 @@ func (w *trialWorker) cellConfig(c Cell) scenario.Config {
 // lifecycle; the differential suite uses it to prove both lifecycles
 // produce byte-identical results.
 func runCell(w *trialWorker, c Cell, baseSeed int64, trials int, downgrade, fresh bool) CellResult {
+	// The worker may come from another cell or run: keep only the
+	// sample slices' capacity.
+	w.iters, w.pkts, w.secs = w.iters[:0], w.pkts[:0], w.secs[:0]
 	res := CellResult{
 		Method: c.Method.Key, Victim: c.Victim.Key,
 		Profile: c.Profile.Key, Defense: c.Defenses.Key,
@@ -228,7 +216,7 @@ func runTrial(s *scenario.S, c Cell, downgrade bool) (poisoned, impact bool, r c
 	if downgrade {
 		// Target selection must happen AFTER the downgrade lands, so
 		// the inner attack is built lazily inside core.Downgrade.
-		atk = &core.Downgrade{Attacker: s.Attacker, Hops: chainHops(s),
+		atk = &core.Downgrade{Attacker: s.Attacker, Hops: s.Hops(),
 			Build: func() core.Attack { return c.Method.New(s, c.Victim.QName) }}
 	} else {
 		atk = c.Method.New(s, c.Victim.QName)

@@ -23,8 +23,6 @@ type Hop struct {
 	// hop up the chain (another forwarder, the recursive resolver, or
 	// the authoritative nameserver).
 	Upstream netip.Addr
-	// Last marks the final hop (the recursive resolver itself).
-	Last bool
 	// UDPUpstream, when set, reports whether the hop's upstream
 	// queries currently ride plaintext UDP (i.e. expose a spoofable
 	// port/TXID surface). nil means plaintext — the pre-transport

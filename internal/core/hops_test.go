@@ -11,24 +11,12 @@ import (
 	"crosslayer/internal/scenario"
 )
 
-// buildHops converts a scenario's resolution chain into core hops the
-// way the campaign does.
-func buildHops(s *scenario.S) []core.Hop {
-	sh := s.Hops()
-	hops := make([]core.Hop, len(sh))
-	for i, h := range sh {
-		hops[i] = core.Hop{Host: h.Host, Addr: h.Addr, Upstream: h.Upstream, Last: i == len(sh)-1}
-	}
-	return hops
-}
-
 func TestWeakestPortHopSelection(t *testing.T) {
 	// Entry hop: big span; inner hop: tiny span; resolver: full range.
 	s := scenario.New(scenario.Config{Seed: 70, ForwarderChain: []scenario.ForwarderSpec{
 		{PortSpan: 512}, {PortSpan: 64},
 	}})
-	hops := buildHops(s)
-	if got := core.WeakestPortHop(hops); got.Addr != scenario.ForwarderIP(1) {
+	if got := core.WeakestPortHop(s.Hops()); got.Addr != scenario.ForwarderIP(1) {
 		t.Fatalf("weakest hop %v, want the inner forwarder", got.Addr)
 	}
 	// Ties go to the hop closest to the client: a record planted there
@@ -36,25 +24,53 @@ func TestWeakestPortHopSelection(t *testing.T) {
 	s2 := scenario.New(scenario.Config{Seed: 70, ForwarderChain: []scenario.ForwarderSpec{
 		{PortSpan: 64}, {PortSpan: 64},
 	}})
-	if got := core.WeakestPortHop(buildHops(s2)); got.Addr != scenario.ForwarderIP(0) {
+	if got := core.WeakestPortHop(s2.Hops()); got.Addr != scenario.ForwarderIP(0) {
 		t.Fatalf("tie broke to %v, want the entry forwarder", got.Addr)
 	}
 	// Without a chain the resolver is the only — and weakest — hop.
 	s3 := scenario.New(scenario.Config{Seed: 70})
-	if got := core.WeakestPortHop(buildHops(s3)); got.Addr != scenario.ResolverIP || !got.Last {
+	if got := core.WeakestPortHop(s3.Hops()); got.Addr != scenario.ResolverIP {
 		t.Fatalf("depth-0 weakest hop %v", got.Addr)
 	}
 	// A host with port randomisation off exposes a single port and
 	// always wins.
 	s3.ResolverHost.Cfg.RandomizePorts = false
-	if got := core.WeakestPortHop(buildHops(s3)); got.PortSpan() != 1 {
+	if got := core.WeakestPortHop(s3.Hops()); got.PortSpan() != 1 {
 		t.Fatalf("fixed-port host span %d, want 1", got.PortSpan())
+	}
+}
+
+// TestWeakestPortHopSkipsEncryptedHops: a hop whose upstream rides a
+// stream transport exposes no spoofable port, so port-inference
+// targeting passes over it however small its range — and on a chain
+// with no plaintext hop at all, falls back to the smallest span.
+func TestWeakestPortHopSkipsEncryptedHops(t *testing.T) {
+	s := scenario.New(scenario.Config{Seed: 73, ForwarderChain: []scenario.ForwarderSpec{
+		{PortSpan: 512}, {PortSpan: 8, Transport: resolver.TransportDoT},
+	}})
+	if got := core.WeakestPortHop(s.Hops()); got.Addr != scenario.ForwarderIP(0) {
+		t.Fatalf("weakest hop %v, want the plaintext entry forwarder", got.Addr)
+	}
+	dot := scenario.Config{Seed: 73, ForwarderChain: []scenario.ForwarderSpec{
+		{PortSpan: 512, Transport: resolver.TransportDoT}, {PortSpan: 8, Transport: resolver.TransportDoT},
+	}}
+	dot.Profile = resolver.ProfileBIND
+	dot.Profile.Transport = resolver.TransportDoT
+	s = scenario.New(dot)
+	hops := s.Hops()
+	for _, h := range hops {
+		if h.PlaintextUpstream() {
+			t.Fatalf("hop %v reports a plaintext upstream on an all-DoT chain", h.Addr)
+		}
+	}
+	if got := core.WeakestPortHop(hops); got.Addr != scenario.ForwarderIP(1) || got.PortSpan() != 8 {
+		t.Fatalf("all-encrypted fallback picked %v (span %d), want the 8-port inner forwarder", got.Addr, got.PortSpan())
 	}
 }
 
 func TestFragmentationHopIsTheResolver(t *testing.T) {
 	s := scenario.New(scenario.Config{Seed: 71, ForwarderChain: []scenario.ForwarderSpec{{}, {}}})
-	got := core.FragmentationHop(buildHops(s))
+	got := core.FragmentationHop(s.Hops())
 	if got.Addr != scenario.ResolverIP || got.Upstream != scenario.NSIP {
 		t.Fatalf("fragmentation hop %v->%v, want resolver->NS", got.Addr, got.Upstream)
 	}
@@ -71,7 +87,7 @@ func TestSadDNSInjectsAtForwarderHop(t *testing.T) {
 	cfg.ServerCfg.RateLimit = true
 	cfg.ServerCfg.RateLimitQPS = 10
 	s := scenario.New(cfg)
-	target := core.WeakestPortHop(buildHops(s))
+	target := core.WeakestPortHop(s.Hops())
 	if !target.Addr.Is4() || target.Addr != scenario.ForwarderIP(0) {
 		t.Fatalf("weakest hop %v, want the forwarder", target.Addr)
 	}

@@ -19,16 +19,6 @@ func TriggerDirect(client *netsim.Host, resolverAddr netip.Addr, name string, ty
 	}
 }
 
-// TriggerViaForwarder issues the query through an open forwarder that
-// relays to the victim resolver (§4.3.3) — the attacker needs no
-// internal foothold at all.
-func TriggerViaForwarder(attacker *netsim.Host, forwarderAddr netip.Addr, name string, typ dnswire.Type) Trigger {
-	return func(done func()) {
-		resolver.StubLookup(attacker, forwarderAddr, name, typ, 30*time.Second,
-			func([]*dnswire.RR, error) { done() })
-	}
-}
-
 // TriggerFunc adapts any niladic function (e.g. an application action
 // like "send an email that bounces") into a Trigger.
 func TriggerFunc(fn func()) Trigger {

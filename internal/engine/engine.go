@@ -146,25 +146,14 @@ func RunCtx[T any](ctx context.Context, j Job, fn func(Shard) T) ([]T, error) {
 	return RunWorkersCtx(ctx, j, func() struct{} { return struct{}{} }, func(_ struct{}, sh Shard) T { return fn(sh) })
 }
 
-// Resettable is the optional reuse hook for RunWorkersCtx states: when a
-// worker's state implements it, Reset is called with the shard about
-// to run, before fn. States use it to rewind scratch arenas (wire
-// pools, result slices) to empty without releasing their capacity —
-// the per-shard setup cost that burst execution exists to amortize.
-//
-// Reset must restore every piece of state a trial can observe:
-// anything it leaves behind would make results depend on which shards
-// a worker previously ran, breaking the determinism contract.
-type Resettable interface {
-	Reset(Shard)
-}
-
 // RunWorkersCtx runs the job with one state per worker, so trials on
 // the same worker can reuse allocation-heavy scratch (wire-buffer
 // pools, result accumulators) across shards instead of rebuilding it
 // per trial. newState is called once per worker, on that worker's
-// goroutine, before its first shard; if the state implements
-// Resettable it is Reset before every shard including the first.
+// goroutine, before its first shard. fn must leave nothing in the
+// state that a later shard can observe — whatever it keeps is
+// capacity, rewound by fn itself — or results would depend on which
+// shards a worker previously ran, breaking the determinism contract.
 // Results are returned in shard order, regardless of the order trials
 // finish in.
 //
@@ -188,9 +177,6 @@ func RunWorkersCtx[S, T any](ctx context.Context, j Job, newState func() S, fn f
 		if !made[w] {
 			states[w] = newState()
 			made[w] = true
-		}
-		if r, ok := any(states[w]).(Resettable); ok {
-			r.Reset(shards[i])
 		}
 		results[i] = fn(states[w], shards[i])
 	}, j.OnTrialDone)

@@ -284,13 +284,6 @@ func (h *Host) BindUDP(port uint16, fn UDPHandler) uint16 {
 // CloseUDP releases a bound port.
 func (h *Host) CloseUDP(port uint16) { delete(h.udpPorts, port) }
 
-// PortOpen reports whether a UDP port is bound (ground truth the
-// SadDNS scan tries to infer remotely).
-func (h *Host) PortOpen(port uint16) bool { return h.udpPorts[port] != nil }
-
-// OpenPorts returns the number of bound UDP ports.
-func (h *Host) OpenPorts() int { return len(h.udpPorts) }
-
 // EphemeralPort draws a source port from the configured range; with
 // RandomizePorts off the lowest port of the range is always used.
 func (h *Host) EphemeralPort() uint16 {

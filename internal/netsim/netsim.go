@@ -31,7 +31,6 @@ type Network struct {
 	// Reset uses to re-derive per-host random streams exactly as a
 	// fresh build would.
 	hostOrder []*Host
-	asHosts   map[bgp.ASN][]*Host
 	asInfo    map[bgp.ASN]*ASInfo
 	// asSnaps holds each AS's snapshotted per-AS configuration
 	// (egress filtering, access latency), restored by Reset so a
@@ -112,7 +111,6 @@ func New(clock *sim.Clock, topo *bgp.Topology, rib *bgp.RIB) *Network {
 		RIB:     rib,
 		Topo:    topo,
 		hosts:   make(map[netip.Addr]*Host),
-		asHosts: make(map[bgp.ASN][]*Host),
 		asInfo:  make(map[bgp.ASN]*ASInfo),
 		latency: 10 * time.Millisecond,
 	}
@@ -133,20 +131,17 @@ type DeliveryPool struct {
 // Retained reports how many delivery nodes the pool currently holds.
 func (p *DeliveryPool) Retained() int { return len(p.free) }
 
-// Trim drops pooled delivery nodes until at most max remain — the
+// Trim drops pooled delivery nodes until at most n remain — the
 // retention bound a resident process applies between jobs, mirroring
 // pool.Wire.Trim. Nodes are uniform-sized, so a plain truncation is
-// the whole policy. Trim(0) empties the pool; it never affects
-// correctness, only what the next simulation must re-allocate.
-func (p *DeliveryPool) Trim(max int) {
-	if max < 0 {
-		max = 0
-	}
-	for i := max; i < len(p.free); i++ {
-		p.free[i] = nil
-	}
-	if len(p.free) > max {
-		p.free = p.free[:max]
+// the whole policy; the kept nodes move to an exact-fit backing array,
+// so a trimmed pool holds O(n) bytes however large the flood that
+// warmed it. Trim(0) empties the pool; it never affects correctness,
+// only what the next simulation must re-allocate.
+func (p *DeliveryPool) Trim(n int) {
+	if cap(p.free) > n {
+		k := max(0, min(len(p.free), n))
+		p.free = append(make([]*delivery, 0, k), p.free[:k]...)
 	}
 }
 
@@ -216,9 +211,6 @@ func (n *Network) AS(asn bgp.ASN) *ASInfo {
 // HostByAddr returns the host owning addr, or nil.
 func (n *Network) HostByAddr(addr netip.Addr) *Host { return n.hosts[addr] }
 
-// HostsInAS lists the hosts attached to an AS.
-func (n *Network) HostsInAS(asn bgp.ASN) []*Host { return n.asHosts[asn] }
-
 // AddHost creates a host in asn owning addr. Host names are purely
 // cosmetic (tracing).
 func (n *Network) AddHost(name string, asn bgp.ASN, addr netip.Addr) *Host {
@@ -228,7 +220,6 @@ func (n *Network) AddHost(name string, asn bgp.ASN, addr netip.Addr) *Host {
 	h := newHost(n, name, asn, addr)
 	n.hosts[addr] = h
 	n.hostOrder = append(n.hostOrder, h)
-	n.asHosts[asn] = append(n.asHosts[asn], h)
 	n.AS(asn) // ensure ASInfo exists
 	return h
 }

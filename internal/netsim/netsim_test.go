@@ -417,7 +417,8 @@ func TestEphemeralPortRange(t *testing.T) {
 }
 
 // TestDeliveryPoolTrim pins the delivery-node retention bound that the
-// campaign arena applies between jobs.
+// campaign's worker pool applies between jobs, the freelist's backing
+// array included.
 func TestDeliveryPoolTrim(t *testing.T) {
 	p := &DeliveryPool{}
 	for i := 0; i < 50; i++ {
@@ -427,8 +428,8 @@ func TestDeliveryPoolTrim(t *testing.T) {
 		t.Fatalf("Retained %d, want 50", p.Retained())
 	}
 	p.Trim(8)
-	if p.Retained() != 8 {
-		t.Fatalf("post-Trim Retained %d, want 8", p.Retained())
+	if p.Retained() != 8 || cap(p.free) != 8 {
+		t.Fatalf("post-Trim Retained %d in %d slots, want 8 in 8", p.Retained(), cap(p.free))
 	}
 	p.Trim(0)
 	if p.Retained() != 0 {

@@ -106,11 +106,6 @@ func (n *Network) BlockSecure(client, server netip.Addr) {
 	n.secureBlocked[[2]netip.Addr{client, server}] = true
 }
 
-// UnblockSecure lifts a BlockSecure.
-func (n *Network) UnblockSecure(client, server netip.Addr) {
-	delete(n.secureBlocked, [2]netip.Addr{client, server})
-}
-
 func (n *Network) secureBlockedBetween(client, server netip.Addr) bool {
 	return n.secureBlocked[[2]netip.Addr{client, server}]
 }

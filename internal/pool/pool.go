@@ -87,19 +87,19 @@ func (p *Wire) Retained() int {
 // maxBytes of capacity remain retained. A resident process that parks
 // a warmed arena between jobs calls Trim to bound its idle footprint
 // without giving up the small-buffer working set; Trim(0) empties the
-// pool. Dropped buffers go to the GC — Trim never affects correctness,
-// only what the next Get must re-allocate.
+// pool. A trimmed class's kept buffers move to an exact-fit freelist,
+// so the slots a flood burst once needed are dropped too. Dropped
+// buffers go to the GC — Trim never affects correctness, only what the
+// next Get must re-allocate.
 func (p *Wire) Trim(maxBytes int) {
 	retained := p.Retained()
 	for c := numClasses - 1; c >= 0 && retained > maxBytes; c-- {
-		size := 1 << (minClass + c)
 		l := p.classes[c]
-		for len(l) > 0 && retained > maxBytes {
-			l[len(l)-1] = nil
-			l = l[:len(l)-1]
-			retained -= size
+		k := len(l)
+		for ; k > 0 && retained > maxBytes; k-- {
+			retained -= 1 << (minClass + c)
 		}
-		p.classes[c] = l
+		p.classes[c] = append(make([][]byte, 0, k), l[:k]...)
 	}
 }
 

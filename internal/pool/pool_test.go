@@ -86,6 +86,12 @@ func TestTrimBoundsRetainedCapacity(t *testing.T) {
 	if got := p.Retained(); got != 64+64+512 {
 		t.Fatalf("Retained after Trim = %d, want 640", got)
 	}
+	// A trimmed class keeps no freelist slots beyond its buffers.
+	for c := range p.classes {
+		if l := p.classes[c]; len(l) == 0 && cap(l) != 0 {
+			t.Fatalf("class %d keeps %d empty freelist slots", c, cap(l))
+		}
+	}
 	// Trimmed pool still serves correctly sized buffers.
 	if b := p.Get(100); cap(b) < 100 {
 		t.Fatalf("Get(100) cap = %d", cap(b))

@@ -16,11 +16,6 @@ type cacheEntry struct {
 	rrs      []*dnswire.RR
 	expires  time.Duration
 	negative bool
-	// poisoned marks entries injected by verified-but-spoofed
-	// responses; it is bookkeeping for the experiments only — the
-	// resolver itself cannot tell (that is the point of the attack).
-	// It is set by test/measurement hooks, never by the resolver.
-	poisoned bool
 }
 
 // Cache is a TTL-driven DNS cache on virtual time.
@@ -84,23 +79,6 @@ func (c *Cache) PutNegative(name string, typ dnswire.Type, ttl uint32) {
 		negative: true, expires: c.now() + time.Duration(ttl)*time.Second,
 	}
 	c.Inserts++
-}
-
-// MarkPoisoned flags an entry for experiment bookkeeping; it reports
-// whether the entry existed.
-func (c *Cache) MarkPoisoned(name string, typ dnswire.Type) bool {
-	e := c.entries[cacheKey{dnswire.CanonicalName(name), typ}]
-	if e == nil {
-		return false
-	}
-	e.poisoned = true
-	return true
-}
-
-// IsPoisoned reports the bookkeeping flag.
-func (c *Cache) IsPoisoned(name string, typ dnswire.Type) bool {
-	e := c.entries[cacheKey{dnswire.CanonicalName(name), typ}]
-	return e != nil && e.poisoned
 }
 
 // Flush drops everything.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
-	"sort"
 	"time"
 
 	"crosslayer/internal/dnswire"
@@ -721,16 +720,6 @@ func (r *Resolver) serveQuery(payload []byte, src netip.Addr, send func(wire []b
 func (r *Resolver) sameAS(src netip.Addr) bool {
 	h := r.Host.Network().HostByAddr(src)
 	return h != nil && h.ASN == r.Host.ASN
-}
-
-// ZoneNames lists configured zones (diagnostics).
-func (r *Resolver) ZoneNames() []string {
-	out := make([]string, 0, len(r.zones))
-	for z := range r.zones {
-		out = append(out, z)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // InflightCount reports the number of outstanding upstream queries.

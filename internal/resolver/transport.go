@@ -117,20 +117,3 @@ func (t Transport) SessionConfig() netsim.SessionConfig {
 		PadBlock:      t.PadBlock(),
 	}
 }
-
-// ParseTransport maps a Key back to its Transport.
-func ParseTransport(key string) (Transport, bool) {
-	switch key {
-	case "udp":
-		return TransportUDP, true
-	case "tcp":
-		return TransportTCP, true
-	case "dot":
-		return TransportDoT, true
-	case "doh":
-		return TransportDoH, true
-	case "doq":
-		return TransportDoQ, true
-	}
-	return TransportUDP, false
-}

@@ -49,9 +49,6 @@ func NewRepository(host *netsim.Host, roas []bgp.ROA) *Repository {
 	return r
 }
 
-// SetROAs replaces the published set.
-func (r *Repository) SetROAs(roas []bgp.ROA) { r.roas = roas }
-
 func (r *Repository) serve(_ netip.Addr, req []byte) []byte {
 	if string(req) != "GET roas" {
 		return nil

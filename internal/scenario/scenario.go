@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"crosslayer/internal/bgp"
+	"crosslayer/internal/core"
 	"crosslayer/internal/deploy"
 	"crosslayer/internal/dnssrv"
 	"crosslayer/internal/dnswire"
@@ -626,49 +627,27 @@ func AttackerOwned(rrs []*dnswire.RR) bool {
 	return false
 }
 
-// Hop describes one hop of the victim's resolution chain for attack
-// targeting: the querying host, its address, and where its genuine
-// answers come from (the spoof source an off-path attacker must
-// impersonate to inject at this hop).
-type Hop struct {
-	Host     *netsim.Host
-	Addr     netip.Addr
-	Upstream netip.Addr
-	// Forwarder is the hop's forwarder node; nil for the final
-	// recursive-resolver hop.
-	Forwarder *resolver.Forwarder
-	// Transport is the hop's configured upstream transport;
-	// Opportunistic marks it downgradeable.
-	Transport     resolver.Transport
-	Opportunistic bool
-	// UDPUpstream reports whether the hop's upstream queries currently
-	// travel plaintext UDP (configured UDP, or downgraded to it) —
-	// i.e. whether the hop exposes a spoofable port/TXID surface.
-	UDPUpstream func() bool
-	// ForceDowngrade strips an opportunistic hop back to plaintext
-	// UDP, reporting whether anything changed.
-	ForceDowngrade func() bool
-}
-
-// Hops returns the victim's resolution chain in client order: every
-// forwarder hop, then the recursive resolver (whose upstream is the
-// target domain's nameserver).
-func (s *S) Hops() []Hop {
-	hops := make([]Hop, 0, len(s.Forwarders)+1)
+// Hops returns the victim's resolution chain in client order, in the
+// attack layer's hop model: every forwarder hop, then the recursive
+// resolver (whose upstream is the target domain's nameserver). Each
+// hop reports its live upstream transport, so targeting sees a
+// downgrade the moment it lands.
+func (s *S) Hops() []core.Hop {
+	hops := make([]core.Hop, 0, len(s.Forwarders)+1)
 	for _, f := range s.Forwarders {
 		f := f
-		hops = append(hops, Hop{
-			Host: f.Host, Addr: f.Host.Addr, Upstream: f.Upstream, Forwarder: f,
-			Transport: f.Transport, Opportunistic: f.Opportunistic,
+		hops = append(hops, core.Hop{
+			Host: f.Host, Addr: f.Host.Addr, Upstream: f.Upstream,
 			UDPUpstream:    func() bool { return f.EffectiveTransport() == resolver.TransportUDP },
+			Opportunistic:  f.Opportunistic,
 			ForceDowngrade: f.ForceDowngrade,
 		})
 	}
 	r := s.Resolver
-	return append(hops, Hop{
+	return append(hops, core.Hop{
 		Host: s.ResolverHost, Addr: ResolverIP, Upstream: NSIP,
-		Transport: r.Prof.Transport, Opportunistic: r.Prof.Opportunistic,
 		UDPUpstream:    func() bool { return r.EffectiveTransport() == resolver.TransportUDP },
+		Opportunistic:  r.Prof.Opportunistic,
 		ForceDowngrade: r.ForceDowngrade,
 	})
 }

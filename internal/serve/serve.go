@@ -48,9 +48,6 @@ type Config struct {
 	// CheckpointEvery is the periodic checkpoint interval; 0 means
 	// DefaultCheckpointEvery.
 	CheckpointEvery time.Duration
-	// MaxArenaBytes bounds the wire-buffer capacity each pooled worker
-	// arena retains between jobs; 0 means campaign.DefaultMaxArenaBytes.
-	MaxArenaBytes int
 	// Log, when non-nil, receives one line per lifecycle event (listen
 	// address, checkpoint loads/saves, job starts).
 	Log io.Writer
@@ -66,10 +63,9 @@ const DefaultCheckpointEvery = 30 * time.Second
 // parallelizes within a job, so queueing jobs keeps the machine
 // saturated without oversubscribing it).
 type Server struct {
-	cfg    Config
-	cache  *cellCache
-	arenas *campaign.ArenaPool
-	jobs   chan *job
+	cfg   Config
+	cache *cellCache
+	jobs  chan *job
 
 	ready chan struct{}
 	addr  string
@@ -78,11 +74,10 @@ type Server struct {
 // New builds a Server from cfg.
 func New(cfg Config) *Server {
 	return &Server{
-		cfg:    cfg,
-		cache:  newCellCache(),
-		arenas: &campaign.ArenaPool{MaxArenaBytes: cfg.MaxArenaBytes},
-		jobs:   make(chan *job),
-		ready:  make(chan struct{}),
+		cfg:   cfg,
+		cache: newCellCache(),
+		jobs:  make(chan *job),
+		ready: make(chan struct{}),
 	}
 }
 
@@ -215,8 +210,8 @@ func (s *Server) runner(ctx context.Context) {
 
 // execute runs one job, streaming progress into its event channel and
 // closing it after the terminal event. Campaign jobs run through the
-// cell cache and the shared arena pool; every other experiment
-// dispatches through the registry unchanged.
+// cell cache; every other experiment dispatches through the registry
+// unchanged.
 func (s *Server) execute(ctx context.Context, j *job) {
 	defer close(j.events)
 	s.logf("job: %s", j.name)
@@ -241,7 +236,6 @@ func (s *Server) execute(ctx context.Context, j *job) {
 		before := s.cache.stats()
 		cfg := campaign.ConfigFromSpec(spec)
 		cfg.Cache = s.cache
-		cfg.Arenas = s.arenas
 		var cells []campaign.CellResult
 		cells, err = campaign.RunContext(ctx, cfg)
 		if err == nil {

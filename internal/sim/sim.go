@@ -10,7 +10,6 @@ import (
 	"container/heap"
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 )
 
@@ -24,24 +23,27 @@ type Action interface {
 }
 
 // Event is a scheduled callback: either a plain closure (fn) or a
-// pre-allocated Action (act). Exactly one of the two is set.
+// pre-allocated Action (act). Exactly one of the two is set. next
+// links the event to the one scheduled after it at the same timestamp.
 type event struct {
-	at  time.Duration
-	fn  func()
-	act Action
+	at   time.Duration
+	fn   func()
+	act  Action
+	next *event
 }
 
-// bucket holds every event scheduled for one timestamp, in insertion
-// order. The scheduler's contract is (time, sequence) ordering; within
-// one timestamp that is exactly FIFO, so a bucket needs no per-event
-// sequence numbers — and draining a same-time burst (the paper's
-// floods park tens of thousands of deliveries at now+latency) costs
-// O(1) per event instead of an O(log n) heap sift with comparison
-// calls.
+// bucket holds every event scheduled for one timestamp as a FIFO list
+// threaded through the event nodes. The scheduler's contract is (time,
+// sequence) ordering; within one timestamp that is exactly FIFO, so a
+// bucket needs no per-event sequence numbers — and draining a
+// same-time burst (the paper's floods park tens of thousands of
+// deliveries at now+latency) costs O(1) per event instead of an
+// O(log n) heap sift with comparison calls. Threading the list through
+// the nodes keeps a bucket three words wide however large its burst
+// was, so pooled buckets retain no burst-sized storage.
 type bucket struct {
-	at   time.Duration
-	evs  []*event
-	head int
+	at         time.Duration
+	head, tail *event
 }
 
 // bucketQueue is a min-heap of buckets by timestamp. Timestamps are
@@ -64,9 +66,9 @@ func (q *bucketQueue) Pop() interface{} {
 
 // EventPool is a freelist of event nodes and timestamp buckets that
 // can outlive a single Clock: a worker that builds many clocks over
-// its lifetime hands the same pool to each so the nodes (and the large
-// burst-sized bucket slices) warmed up by one simulation are reused by
-// the next. Single-goroutine, like the Clock itself.
+// its lifetime hands the same pool to each so the nodes warmed up by
+// one simulation are reused by the next. Single-goroutine, like the
+// Clock itself.
 type EventPool struct {
 	free        []*event
 	freeBuckets []*bucket
@@ -82,12 +84,11 @@ func (p *EventPool) getBucket(at time.Duration) *bucket {
 		b = &bucket{}
 	}
 	b.at = at
-	b.evs = b.evs[:0]
-	b.head = 0
 	return b
 }
 
 func (p *EventPool) putBucket(b *bucket) {
+	b.head, b.tail = nil, nil
 	p.freeBuckets = append(p.freeBuckets, b)
 }
 
@@ -95,34 +96,27 @@ func (p *EventPool) putBucket(b *bucket) {
 // event nodes plus free timestamp buckets.
 func (p *EventPool) Retained() int { return len(p.free) + len(p.freeBuckets) }
 
-// Trim drops pooled nodes until at most max event nodes and at most
-// max buckets remain — the retention bound a resident process applies
+// Trim drops pooled nodes until Retained is at most max, event nodes
+// kept before buckets — the retention bound a resident process applies
 // between jobs, mirroring pool.Wire.Trim: a sweep that briefly parked
-// a flood burst's worth of nodes does not pin them forever. Buckets
-// with the largest warmed event slices are kept preferentially (they
-// are the expensive ones to re-grow). Trim(0) empties the pool; it
-// never affects correctness, only what the next simulation must
-// re-allocate.
+// a flood burst's worth of nodes does not pin them forever. The bound
+// covers the freelists' backing arrays too, so a trimmed pool holds
+// O(max) bytes however large the burst that warmed it. Trim(0)
+// empties the pool; it never affects correctness, only what the next
+// simulation must re-allocate.
 func (p *EventPool) Trim(max int) {
-	if max < 0 {
-		max = 0
+	p.free = trimFree(p.free, max)
+	p.freeBuckets = trimFree(p.freeBuckets, max-len(p.free))
+}
+
+// trimFree keeps at most n entries of a freelist; when its backing
+// array has room for more, the kept entries move to an exact-fit one.
+func trimFree[T any](free []*T, n int) []*T {
+	if cap(free) <= n {
+		return free
 	}
-	for i := max; i < len(p.free); i++ {
-		p.free[i] = nil
-	}
-	if len(p.free) > max {
-		p.free = p.free[:max]
-	}
-	if len(p.freeBuckets) > max {
-		// Keep the buckets with the largest burst capacity.
-		sort.Slice(p.freeBuckets, func(i, j int) bool {
-			return cap(p.freeBuckets[i].evs) > cap(p.freeBuckets[j].evs)
-		})
-		for i := max; i < len(p.freeBuckets); i++ {
-			p.freeBuckets[i] = nil
-		}
-		p.freeBuckets = p.freeBuckets[:max]
-	}
+	k := max(0, min(len(free), n))
+	return append(make([]*T, 0, k), free[:k]...)
 }
 
 // Clock is the discrete-event scheduler. The zero value is not usable;
@@ -165,11 +159,11 @@ func (c *Clock) SetEventPool(p *EventPool) {
 // shared EventPool) keeps its warmed-up nodes.
 func (c *Clock) Reset(seed int64) {
 	for i, b := range c.queue {
-		for j := b.head; j < len(b.evs); j++ {
-			e := b.evs[j]
-			e.fn, e.act = nil, nil
-			b.evs[j] = nil
+		for e := b.head; e != nil; {
+			next := e.next
+			e.fn, e.act, e.next = nil, nil, nil
 			c.pool.free = append(c.pool.free, e)
+			e = next
 		}
 		c.pool.putBucket(b)
 		c.queue[i] = nil
@@ -233,8 +227,11 @@ func (c *Clock) schedule(e *event) {
 		b = c.pool.getBucket(e.at)
 		c.byTime[e.at] = b
 		heap.Push(&c.queue, b)
+		b.head = e
+	} else {
+		b.tail.next = e
 	}
-	b.evs = append(b.evs, e)
+	b.tail = e
 	c.pending++
 }
 
@@ -281,10 +278,9 @@ func (c *Clock) Step() bool {
 		return false
 	}
 	b := c.queue[0]
-	e := b.evs[b.head]
-	b.evs[b.head] = nil
-	b.head++
-	if b.head == len(b.evs) {
+	e := b.head
+	b.head, e.next = e.next, nil
+	if b.head == nil {
 		// Drained. An event fired later at this same timestamp gets a
 		// fresh bucket; since the old one is already past, time-unique
 		// bucket keys stay intact by removing the map entry first.

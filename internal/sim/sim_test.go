@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -34,6 +35,52 @@ func TestClockFIFOAtSameTime(t *testing.T) {
 		if v != i {
 			t.Fatalf("same-timestamp events not FIFO: %v", order)
 		}
+	}
+}
+
+// TestClockFIFOAcrossNestedSameTimeScheduling: an event scheduled at
+// the current instant runs after everything already queued for it,
+// whether its bucket still holds events (appended at the tail) or was
+// just drained (a fresh bucket for the same time).
+func TestClockFIFOAcrossNestedSameTimeScheduling(t *testing.T) {
+	c := NewClock(1)
+	var order []string
+	at := func(name string, then func()) func() {
+		return func() {
+			order = append(order, name)
+			if then != nil {
+				then()
+			}
+		}
+	}
+	c.At(time.Second, at("a", func() {
+		c.At(time.Second, at("c", func() { c.At(time.Second, at("e", nil)) }))
+	}))
+	c.At(time.Second, at("b", func() { c.At(time.Second, at("d", nil)) }))
+	c.Run()
+	if got := strings.Join(order, ""); got != "abcde" {
+		t.Fatalf("same-instant order %q, want abcde", got)
+	}
+}
+
+// TestClockResetRecyclesQueuedNodes: Reset drains every queued event
+// and bucket into the pool, and the reset clock schedules from them.
+func TestClockResetRecyclesQueuedNodes(t *testing.T) {
+	p := &EventPool{}
+	c := NewClock(1)
+	c.SetEventPool(p)
+	for i := 0; i < 5; i++ {
+		c.At(time.Duration(i%2)*time.Second, func() { t.Fatal("drained event fired") })
+	}
+	c.Reset(2)
+	if got := p.Retained(); got != 7 {
+		t.Fatalf("Reset pooled %d nodes, want 7 (5 events + 2 buckets)", got)
+	}
+	fired := 0
+	c.At(time.Second, func() { fired++ })
+	c.At(time.Second, func() { fired++ })
+	if c.Run() != 2 || fired != 2 || p.Retained() != 7 {
+		t.Fatalf("reset clock fired %d/2 events, pool holds %d nodes, want 7", fired, p.Retained())
 	}
 }
 
@@ -175,27 +222,26 @@ func TestDeterministicRandStreams(t *testing.T) {
 }
 
 // TestEventPoolTrim pins the retention bound: a pool warmed by a big
-// burst can be trimmed back between jobs, keeping the largest-capacity
-// buckets, and a trimmed pool still serves the next simulation
+// burst can be trimmed back between jobs, its freelists' backing
+// arrays included, and a trimmed pool still serves the next simulation
 // correctly.
 func TestEventPoolTrim(t *testing.T) {
 	p := &EventPool{}
 	for i := 0; i < 100; i++ {
 		p.free = append(p.free, &event{})
 	}
-	small := &bucket{evs: make([]*event, 0, 2)}
-	big := &bucket{evs: make([]*event, 0, 1024)}
-	p.putBucket(small)
-	p.putBucket(big)
+	p.putBucket(&bucket{})
+	p.putBucket(&bucket{})
 	if got := p.Retained(); got != 102 {
 		t.Fatalf("Retained %d, want 102", got)
 	}
-	p.Trim(1)
-	if got := p.Retained(); got != 2 {
-		t.Fatalf("post-Trim Retained %d, want 2 (1 event + 1 bucket)", got)
+	p.Trim(101)
+	if got := p.Retained(); got != 101 {
+		t.Fatalf("post-Trim(101) Retained %d, want 101 (100 events + 1 bucket)", got)
 	}
-	if len(p.freeBuckets) != 1 || cap(p.freeBuckets[0].evs) != 1024 {
-		t.Fatal("Trim did not keep the largest-capacity bucket")
+	p.Trim(1)
+	if got, slots := p.Retained(), cap(p.free)+cap(p.freeBuckets); got != 1 || slots != 1 {
+		t.Fatalf("post-Trim(1) Retained %d in %d freelist slots, want 1 in 1", got, slots)
 	}
 	p.Trim(0)
 	if p.Retained() != 0 {
