@@ -5,6 +5,7 @@ import (
 	"net/netip"
 	"testing"
 
+	"crosslayer/internal/deploy"
 	"crosslayer/internal/dnswire"
 	"crosslayer/internal/engine"
 	"crosslayer/internal/netsim"
@@ -180,7 +181,40 @@ func TestEngineDispatchAllocs(t *testing.T) {
 // world-assembly cost on top, staying well under a third of the legacy
 // build-per-trial figure. A regression here means Reset started
 // rebuilding state that New owns, or a freelist stopped being reused.
+//
+// The rewind itself must not allocate at all once warm: every host
+// stream is reseeded in place, and pools, maps and freelists keep
+// their capacity. Three worlds cover the host, forwarder-hop and
+// deployment-sampling parts of Reset.
 func TestResetTrialAllocs(t *testing.T) {
+	measured, ok := deploy.ByKey("measured")
+	if !ok {
+		t.Fatal("no measured deployment dataset")
+	}
+	hop := scenario.ForwarderSpec{}
+	for _, w := range []struct {
+		name string
+		cfg  scenario.Config
+	}{
+		{"depth 0", scenario.Config{Seed: 42}},
+		{"depth 3", scenario.Config{Seed: 42, ForwarderChain: []scenario.ForwarderSpec{hop, hop, hop}}},
+		{"measured, depth 1", scenario.Config{Seed: 42, Deployment: measured, ForwarderChain: []scenario.ForwarderSpec{hop}}},
+	} {
+		s := scenario.New(w.cfg)
+		s.Snapshot()
+		seed := int64(0)
+		reset := func() {
+			seed++
+			s.Reset(seed)
+		}
+		for i := 0; i < 10; i++ {
+			reset()
+		}
+		if allocs := testing.AllocsPerRun(50, reset); allocs != 0 {
+			t.Errorf("%s: scenario.S.Reset: %v allocs/op, want 0", w.name, allocs)
+		}
+	}
+
 	resolve := func(s *scenario.S) {
 		done := false
 		s.Resolver.Lookup("www.vict.im.", dnswire.TypeA, func(_ []*dnswire.RR, err error) {

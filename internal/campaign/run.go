@@ -149,10 +149,9 @@ func (w *trialWorker) cellConfig(c Cell) scenario.Config {
 // (config, defenses and chain stamping applied once instead of trials
 // times), runs trial 0 on the fresh build, and rewinds the world with
 // scenario.S.Reset between trials. Building with trial 0's own seed —
-// rather than Resetting before every trial — matters for 1-trial
-// sweeps: reseeding every host RNG is most of a Reset's cost (the
-// lagged-Fibonacci init math/rand pays per source), and the fresh
-// build already paid it. fresh forces the legacy build-per-trial
+// rather than Resetting before every trial — makes the fresh build
+// trial 0's world, so a cell pays one Reset per trial after the first
+// and a 1-trial sweep pays none. fresh forces the legacy build-per-trial
 // lifecycle; the differential suite uses it to prove both lifecycles
 // produce byte-identical results.
 func runCell(w *trialWorker, c Cell, baseSeed int64, trials int, downgrade, fresh bool) CellResult {

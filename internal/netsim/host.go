@@ -191,9 +191,9 @@ func (h *Host) snapshot() {
 // reset rewinds the host to its snapshot: config and port bindings
 // restored, ephemeral state (sessions, defrag cache, learned PMTUs,
 // IPID counters, ICMP buckets) cleared, counters zeroed, and the random
-// stream re-derived from the (already reset) clock — called in host
-// creation order by Network.Reset, this draws exactly the streams a
-// fresh build would.
+// stream reseeded in place from the (already reset) clock — called in
+// host creation order by Network.Reset, this draws exactly the streams
+// a fresh build would.
 func (h *Host) reset() {
 	s := h.snap
 	if s == nil {
@@ -232,7 +232,7 @@ func (h *Host) reset() {
 	h.Sent, h.Received = 0, 0
 	h.ICMPSent, h.ICMPSuppressed = 0, 0
 	h.UDPDeliveredLocal = 0
-	h.rng = h.net.Clock.NewRand()
+	h.rng.Seed(h.net.Clock.NextSeed())
 	h.ipidGlobal = uint16(h.rng.Uint32())
 }
 

@@ -249,15 +249,15 @@ type asSnap struct {
 // same assembled world can run another trial: the clock is reset (and
 // reseeded with seed), every host's ephemeral state — sessions,
 // defragmentation cache, learned path MTUs, IPID and ICMP bookkeeping,
-// counters — is cleared, per-host random streams are re-derived from
-// the fresh clock in creation order (exactly the order a fresh build
-// draws them), host configs and port bindings are restored from the
-// snapshot, per-AS configuration (egress filtering, access latency)
-// returns to its snapshotted values, interception and trace hooks are
-// dropped, and the secure-session blocks an attacker installed are
-// lifted. Hosts, the
-// topology, the warmed wire/delivery pools and their capacity all
-// survive. Snapshot must have been called first.
+// counters — is cleared, per-host random streams are reseeded in place
+// from the fresh clock in creation order (exactly the order a fresh
+// build draws them), host configs and port bindings are restored from
+// the snapshot, per-AS configuration (egress filtering, access
+// latency) returns to its snapshotted values, interception and trace
+// hooks are dropped, and the secure-session blocks an attacker
+// installed are lifted. Hosts, the topology, the warmed wire/delivery
+// pools and their capacity all survive. Snapshot must have been called
+// first.
 func (n *Network) Reset(seed int64) {
 	n.Clock.Reset(seed)
 	for _, h := range n.hostOrder {

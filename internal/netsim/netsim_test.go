@@ -416,6 +416,34 @@ func TestEphemeralPortRange(t *testing.T) {
 	}
 }
 
+// TestResetReseedsHostStreams: Reset reseeds every host's existing
+// stream in place, so a reset network draws exactly what a fresh build
+// with the same seed draws — each host's IP-ID start and its stream,
+// past the stream's 273-value head — however far the previous trial
+// drew.
+func TestResetReseedsHostStreams(t *testing.T) {
+	used := build(t)
+	used.net.Snapshot()
+	for i, h := range []*Host{used.victim, used.ns, used.atk} {
+		for range 200 * (i + 1) {
+			h.Rand().Uint64()
+		}
+	}
+	used.net.Reset(1)
+	fresh := build(t)
+	for _, pair := range [][2]*Host{{used.victim, fresh.victim}, {used.ns, fresh.ns}, {used.atk, fresh.atk}} {
+		got, want := pair[0], pair[1]
+		if got.ipidGlobal != want.ipidGlobal {
+			t.Fatalf("%s: IP-ID start %d after Reset, %d fresh", got.Name, got.ipidGlobal, want.ipidGlobal)
+		}
+		for k := 0; k < 400; k++ {
+			if g, w := got.Rand().Uint64(), want.Rand().Uint64(); g != w {
+				t.Fatalf("%s: draw %d after Reset %#x, fresh %#x", got.Name, k, g, w)
+			}
+		}
+	}
+}
+
 // TestDeliveryPoolTrim pins the delivery-node retention bound that the
 // campaign's worker pool applies between jobs, the freelist's backing
 // array included.

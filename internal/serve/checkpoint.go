@@ -7,8 +7,10 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"sort"
 
 	"crosslayer/internal/campaign"
+	"crosslayer/internal/stats"
 )
 
 // checkpointVersion guards the on-disk schema: a version we don't
@@ -33,7 +35,9 @@ type checkpointFile struct {
 // loadCheckpoint restores the cache from path. A missing file is a
 // fresh start, not an error; a present-but-unreadable one is fatal —
 // better to refuse than to recompute over a checkpoint the operator
-// thought was live.
+// thought was live. So is a file holding any malformed cell: the whole
+// file is refused before anything is loaded, so a partial cache never
+// serves.
 func (s *Server) loadCheckpoint() error {
 	data, err := os.ReadFile(s.cfg.CheckpointPath)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -50,7 +54,46 @@ func (s *Server) loadCheckpoint() error {
 		return fmt.Errorf("serve: checkpoint %s has version %d, want %d",
 			s.cfg.CheckpointPath, cp.Version, checkpointVersion)
 	}
+	keys := make([]string, 0, len(cp.Cells))
+	for k := range cp.Cells {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		if err := checkCell(cp.Cells[k]); err != nil {
+			return fmt.Errorf("serve: checkpoint %s: cell %q: %w", s.cfg.CheckpointPath, k, err)
+		}
+	}
 	s.cache.load(cp.Cells)
+	return nil
+}
+
+// checkCell rejects a decoded cell the campaign could not have
+// written: JSON accepts any shape, and rendering trusts every count
+// and sample set to agree with Trials.
+func checkCell(c campaign.CellResult) error {
+	if c.Trials <= 0 {
+		return fmt.Errorf("%d trials", c.Trials)
+	}
+	for _, n := range []struct {
+		name string
+		c    stats.Counter
+	}{{"Poisoned", c.Poisoned}, {"Impact", c.Impact}} {
+		if n.c.Total != c.Trials || n.c.Hits < 0 || n.c.Hits > n.c.Total {
+			return fmt.Errorf("%s counts %d/%d over %d trials", n.name, n.c.Hits, n.c.Total, c.Trials)
+		}
+	}
+	for _, d := range []struct {
+		name string
+		cdf  *stats.CDF
+	}{{"Iterations", c.Iterations}, {"Packets", c.Packets}, {"Seconds", c.Seconds}} {
+		if d.cdf == nil {
+			return fmt.Errorf("%s missing", d.name)
+		}
+		if d.cdf.Len() != c.Trials {
+			return fmt.Errorf("%s has %d samples over %d trials", d.name, d.cdf.Len(), c.Trials)
+		}
+	}
 	return nil
 }
 

@@ -4,6 +4,18 @@
 // virtual time, so attacks that take minutes of "Internet time" (e.g. a
 // SadDNS port scan) complete in milliseconds of wall time and are
 // reproducible bit-for-bit.
+//
+// Random streams are math/rand streams: a NewRand stream yields
+// exactly what rand.New(rand.NewSource(s)) yields for its sub-seed s.
+// They cost what they draw, though. math/rand's seeding fills a
+// 607-word register; a stream here stores only the seed and computes
+// each of its first 273 values from the two register words that value
+// reads — the generator's whole window without feedback. Draw 274
+// seeds a real math/rand source, skips the 273 values already
+// returned and continues from it. A world's host streams draw a
+// handful of values per trial, so seeding one is nearly free and
+// reseeding one in place (NextSeed) allocates nothing; only long
+// population streams pay the fallback, once per seed.
 package sim
 
 import (
@@ -127,19 +139,20 @@ type Clock struct {
 	byTime  map[time.Duration]*bucket
 	pending int
 	pool    *EventPool // recycled event/bucket nodes; single-goroutine, so no locking
-	rng     *rand.Rand
-	limit   int // safety valve: max events per Run, 0 = unlimited
+	rng     stream     // the clock's own stream: sub-seeds only
+	limit   int        // safety valve: max events per Run, 0 = unlimited
 	nextID  uint64
 }
 
 // NewClock returns a scheduler whose virtual time starts at zero and
 // whose random stream is seeded with seed.
 func NewClock(seed int64) *Clock {
-	return &Clock{
-		rng:    rand.New(rand.NewSource(seed)),
+	c := &Clock{
 		pool:   &EventPool{},
 		byTime: make(map[time.Duration]*bucket),
 	}
+	c.rng.Seed(seed)
+	return c
 }
 
 // SetEventPool replaces the clock's private event freelist with a
@@ -154,9 +167,9 @@ func (c *Clock) SetEventPool(p *EventPool) {
 
 // Reset rewinds the clock to its post-NewClock state: pending events
 // are drained into the freelist, virtual time returns to zero, and the
-// random streams are reseeded with seed — so a reset clock replays
-// exactly like a fresh NewClock(seed). The event freelist (and any
-// shared EventPool) keeps its warmed-up nodes.
+// clock's stream is reseeded with seed — so a reset clock derives
+// exactly the sub-seeds a fresh NewClock(seed) would. The event
+// freelist (and any shared EventPool) keeps its warmed-up nodes.
 func (c *Clock) Reset(seed int64) {
 	for i, b := range c.queue {
 		for e := b.head; e != nil; {
@@ -179,15 +192,22 @@ func (c *Clock) Reset(seed int64) {
 // Now returns the current virtual time.
 func (c *Clock) Now() time.Duration { return c.now }
 
-// Rand returns the clock's deterministic random stream.
-func (c *Clock) Rand() *rand.Rand { return c.rng }
+// NextSeed derives the seed of the clock's next random stream: the
+// clock stream's next Int63, XORed with the stream's ordinal. Reseeding
+// an existing NewRand stream with it (rand.Rand.Seed) replays what a
+// fresh NewRand would draw, without allocating.
+func (c *Clock) NextSeed() int64 {
+	c.nextID++
+	return c.rng.Int63() ^ int64(c.nextID)
+}
 
 // NewRand derives an independent deterministic stream from the clock's
 // seed space; use one stream per stochastic subsystem so adding events
 // in one subsystem does not perturb another.
 func (c *Clock) NewRand() *rand.Rand {
-	c.nextID++
-	return rand.New(rand.NewSource(c.rng.Int63() ^ int64(c.nextID)))
+	s := &stream{}
+	s.Seed(c.NextSeed())
+	return rand.New(s)
 }
 
 // SetEventLimit bounds the number of events a single Run/RunUntil may
