@@ -118,6 +118,34 @@ func TestSteadyStateSendZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestTrainAllocsIndependentOfLength pins what makes a flood cheap: a
+// train is one scheduled delivery that rewrites one pooled buffer per
+// datagram, so on a warmed world a 65,536-datagram train to a bound
+// port allocates no more than a 16-datagram one.
+func TestTrainAllocsIndependentOfLength(t *testing.T) {
+	s := scenario.New(scenario.Config{Seed: 42})
+	payload := make([]byte, 128)
+	sink := 0
+	s.ResolverHost.BindUDP(12345, func(dg netsim.Datagram) { sink += len(dg.Payload) })
+	perTrain := func(n int) float64 {
+		round := func() {
+			s.Attacker.SendUDPTrain(scenario.NSIP, 53, scenario.ResolverIP, 12345, payload, n)
+			s.Net.Run()
+		}
+		for i := 0; i < 3; i++ {
+			round() // warm pools, freelists and the host's receive path
+		}
+		return testing.AllocsPerRun(5, round)
+	}
+	short, long := perTrain(16), perTrain(1<<16)
+	if long > short {
+		t.Fatalf("65,536-datagram train: %v allocs/op, 16-datagram train: %v; want no more", long, short)
+	}
+	if sink == 0 {
+		t.Fatal("payloads never delivered")
+	}
+}
+
 // TestResolverRoundTripZeroAllocs pins the resolver's full-resolution
 // path at zero allocations per upstream round trip. The measurement is
 // differential: two resolvers identical except for the retry count
@@ -157,8 +185,8 @@ func TestResolverRoundTripZeroAllocs(t *testing.T) {
 }
 
 // TestEngineDispatchAllocs bounds the engine's own per-trial overhead:
-// dispatching trials through the burst executor must cost well under
-// one allocation per trial once the per-job slices are amortized.
+// dispatching trials off the shared counter must cost well under one
+// allocation per trial once the per-job slices are amortized.
 func TestEngineDispatchAllocs(t *testing.T) {
 	const trials = 1024
 	j := engine.Job{Items: trials, ShardSize: 1, Seed: 1, Parallelism: 1}

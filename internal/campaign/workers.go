@@ -6,8 +6,8 @@ import "sync"
 // returns it: the wire-buffer capacity it keeps (largest buffers
 // dropped first), and the clock-event, timestamp-bucket and delivery
 // nodes it keeps, freelist arrays included. Enough to keep a trial's
-// steady-state working set warm; far below what one flood burst parks
-// (a SadDNS trial queues tens of thousands of deliveries at a single
+// steady-state working set warm; below what one flood burst parks (a
+// SadDNS mute window queues thousands of deliveries at a single
 // virtual instant), so a flood sweep does not pin its peak for the
 // life of the process.
 const (

@@ -277,12 +277,8 @@ func (a *SadDNS) nextChunk(n int) []uint16 {
 }
 
 // floodTXIDs sends one spoofed response per possible TXID to the
-// discovered port. The 64k responses differ only in their ID field
-// (the first two wire bytes), so the message is packed once and the
-// ID patched in place — SendUDPSpoofed serializes the payload into a
-// fresh buffer before the next patch, so the reuse is safe. This
-// keeps the flood (by far the hottest loop of a SadDNS run) from
-// re-encoding an identical message 65536 times.
+// discovered port: one 2^16-datagram train (netsim.Host.SendUDPTrain)
+// of the packed response, whose ID runs through every value.
 func (a *SadDNS) floodTXIDs(port uint16) {
 	resp := &dnswire.Message{
 		Response: true, Authoritative: true, RecursionDesired: true,
@@ -294,9 +290,5 @@ func (a *SadDNS) floodTXIDs(port uint16) {
 		return
 	}
 	a.floodAt = a.Attacker.Network().Clock.Now()
-	for txid := 0; txid < 1<<16; txid++ {
-		wire[0] = byte(txid >> 8)
-		wire[1] = byte(txid)
-		a.Attacker.SendUDPSpoofed(a.SpoofSource, 53, a.ResolverAddr, port, wire)
-	}
+	a.Attacker.SendUDPTrain(a.SpoofSource, 53, a.ResolverAddr, port, wire, 1<<16)
 }

@@ -37,15 +37,6 @@ import (
 // per-shard cost of building a fresh simulated network.
 const DefaultShardSize = 256
 
-// burst is how many consecutive trials a worker claims per visit to
-// the shared dispatch counter (NDN-DPDK's burst size): one atomic op
-// amortised over 64 trials instead of one channel rendezvous per
-// trial, and consecutive indices keep each worker's result writes on
-// adjacent cache lines. Like Parallelism it affects only scheduling,
-// never results. A job of at most 64 shards therefore runs on one
-// worker.
-const burst = 64
-
 // Shard is one independently simulable slice of a job's population:
 // the half-open item range [Start, Start+Count) plus the seed every
 // random stream inside the shard must derive from.
@@ -173,7 +164,7 @@ func RunWorkersCtx[S, T any](ctx context.Context, j Job, newState func() S, fn f
 	workers = min(workers, len(shards))
 	states := make([]S, workers)
 	made := make([]bool, workers)
-	err := executeBursts(ctx, workers, len(shards), func(w, i int) {
+	err := execute(ctx, workers, len(shards), func(w, i int) {
 		if !made[w] {
 			states[w] = newState()
 			made[w] = true
@@ -183,15 +174,16 @@ func RunWorkersCtx[S, T any](ctx context.Context, j Job, newState func() S, fn f
 	return results, err
 }
 
-// executeBursts is the dispatch core under RunWorkersCtx: it invokes
+// execute is the dispatch core under RunWorkersCtx: it invokes
 // run(worker, i) exactly once for every i in [0, total) that starts
 // before ctx is cancelled, with worker in [0, workers) stable per
-// goroutine (the hook per-worker state hangs off). Workers claim index
-// ranges of burst off a shared atomic counter — no channel rendezvous
-// per trial — and walk each range in order, so one worker's result
-// writes land on adjacent cache lines. onDone, when non-nil, is called
+// goroutine (the hook per-worker state hangs off). Workers claim one
+// index per atomic add on a shared counter — no channel rendezvous —
+// so every worker takes part however few shards a job has. Every
+// caller's shard is a whole cell or scan, so one atomic op per shard
+// is no cost worth amortising. onDone, when non-nil, is called
 // serialized with a strictly monotonic done count.
-func executeBursts(ctx context.Context, workers, total int, run func(worker, i int), onDone func(done, total int)) error {
+func execute(ctx context.Context, workers, total int, run func(worker, i int), onDone func(done, total int)) error {
 	if workers <= 1 {
 		for i := 0; i < total; i++ {
 			if err := ctx.Err(); err != nil {
@@ -215,29 +207,20 @@ func executeBursts(ctx context.Context, workers, total int, run func(worker, i i
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
+			for ctx.Err() == nil {
+				i := int(next.Add(1)) - 1
+				if i >= total {
 					return
 				}
-				start := int(next.Add(burst)) - burst
-				if start >= total {
-					return
-				}
-				end := min(start+burst, total)
-				for i := start; i < end; i++ {
-					if ctx.Err() != nil {
-						return
-					}
-					run(w, i)
-					if onDone != nil {
-						// Increment under the same mutex that
-						// serializes the callback, so observed done
-						// values are strictly monotonic.
-						mu.Lock()
-						done++
-						onDone(done, total)
-						mu.Unlock()
-					}
+				run(w, i)
+				if onDone != nil {
+					// Increment under the same mutex that serializes
+					// the callback, so observed done values are
+					// strictly monotonic.
+					mu.Lock()
+					done++
+					onDone(done, total)
+					mu.Unlock()
 				}
 			}
 		}(w)

@@ -233,12 +233,11 @@ func runWorkers[S, T any](t *testing.T, j Job, newState func() S, fn func(S, Sha
 	return out
 }
 
-// TestRunWorkersResultsIndependentOfWorkersAndBurst pins the
-// determinism contract across the burst dispatcher: the worker count
-// may not change results or their order, even when every worker claims
-// several bursts (1000 shards is more than two 64-shard bursts per
-// worker at parallelism 8).
-func TestRunWorkersResultsIndependentOfWorkersAndBurst(t *testing.T) {
+// TestRunWorkersResultsIndependentOfWorkers pins the determinism
+// contract across the shared-counter dispatcher: the worker count may
+// not change results or their order, even when every worker claims
+// many shards (1000 shards at parallelism 8).
+func TestRunWorkersResultsIndependentOfWorkers(t *testing.T) {
 	type state struct{ scratch []int64 }
 	fn := func(s *state, sh Shard) int64 {
 		s.scratch = append(s.scratch, sh.Seed)
@@ -260,11 +259,11 @@ func TestRunWorkersResultsIndependentOfWorkersAndBurst(t *testing.T) {
 
 // TestRunWorkersStatePerWorker: newState runs once per participating
 // worker, and every shard runs exactly once, on one worker's state.
-// The job spans two 64-shard bursts per worker, and no trial proceeds
-// until a second worker has built its state, so the test always covers
-// several workers.
+// The job spans 128 shards per worker, and no trial proceeds until a
+// second worker has built its state, so the test always covers several
+// workers.
 func TestRunWorkersStatePerWorker(t *testing.T) {
-	const items = 4 * 2 * burst
+	const items = 512
 	var made atomic.Int64
 	second := make(chan struct{})
 	j := Job{Items: items, ShardSize: 1, Seed: 5, Parallelism: 4}
@@ -308,6 +307,51 @@ func TestRunWorkersStatePerWorker(t *testing.T) {
 // shardLog is a worker state that records the shards run on it.
 type shardLog struct{ ran []int }
 
+// TestSmallJobUsesEveryWorker: a job with fewer shards than a worker
+// could claim at once — 8 shards, the size of a flood sweep — still
+// runs on both workers at Parallelism 2. Shard 0 holds its worker
+// until the second worker has built its state, which it only does
+// once it has claimed a shard of its own; the timer bounds nothing but
+// the failure, where one worker claimed all eight and the second never
+// starts.
+func TestSmallJobUsesEveryWorker(t *testing.T) {
+	var made atomic.Int64
+	second := make(chan struct{})
+	j := Job{Items: 8, ShardSize: 1, Seed: 5, Parallelism: 2}
+	states := runWorkers(t, j,
+		func() *shardLog {
+			if made.Add(1) == 2 {
+				close(second)
+			}
+			return &shardLog{}
+		},
+		func(s *shardLog, sh Shard) *shardLog {
+			if sh.Index == 0 {
+				select {
+				case <-second:
+				case <-time.After(10 * time.Second):
+					t.Error("the second worker never started: one worker claimed every shard")
+				}
+			}
+			s.ran = append(s.ran, sh.Index)
+			return s
+		})
+	ran := map[*shardLog]int{}
+	for _, s := range states {
+		ran[s] = len(s.ran)
+	}
+	if len(ran) != 2 {
+		t.Fatalf("shards ran on %d workers, want 2", len(ran))
+	}
+	total := 0
+	for _, n := range ran {
+		total += n
+	}
+	if total != 8 {
+		t.Fatalf("%d shards ran, want 8", total)
+	}
+}
+
 // TestRunWorkersCachedNilCacheMatchesUncached: memoization lives in
 // the caller's shard function (campaign.RunContext looks cells up in
 // Config.Cache), so a run without a cache is plain RunWorkersCtx, and
@@ -326,12 +370,12 @@ func TestRunWorkersCachedNilCacheMatchesUncached(t *testing.T) {
 	}
 }
 
-// TestRunWorkersCtxCancellation: the burst dispatcher must honour the
+// TestRunWorkersCtxCancellation: the dispatcher must honour the
 // no-new-trials-after-cancel rule on the parallel path, both for a
-// pre-cancelled context and for one cancelled mid-burst, when the job
-// spans several bursts per worker.
+// pre-cancelled context and for one cancelled mid-job, when the job
+// spans many shards per worker.
 func TestRunWorkersCtxCancellation(t *testing.T) {
-	const items, workers = 2 * 8 * burst, 8
+	const items, workers = 1024, 8
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran atomic.Int64

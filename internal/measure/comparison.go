@@ -37,9 +37,8 @@ type Comparison struct {
 //
 // The five measurements are independent trials — each builds its own
 // scenario or topology from its own seed offset — run as a five-shard
-// engine job, so a cancelled ctx aborts between them. The engine hands
-// out shards in bursts of 64, so today all five run on one worker;
-// results are identical to a serial run either way.
+// engine job, so a cancelled ctx aborts between them and the five
+// spread over the workers; results are identical to a serial run.
 func RunComparison(ctx context.Context, cfg Config, sadPorts int) (Comparison, error) {
 	seed := cfg.Seed
 	var cmp Comparison
@@ -224,8 +223,7 @@ func Table6Run(ctx context.Context, cfg Config, sadPorts int) (*report.Report, C
 // implementations by querying ANY then A through each profile and
 // checking whether the A query was served from the ANY answer: one
 // trial per implementation profile, each on its own scenario, run as
-// an engine job (five shards, so today on one worker) and rendered in
-// profile order.
+// an engine job of five shards and rendered in profile order.
 func Table5Run(ctx context.Context, cfg Config) (*report.Report, map[string]bool, error) {
 	rep := report.New("table5", "Table 5: ANY-caching behaviour per resolver implementation")
 	tbl := rep.AddSection(report.Table("", "Table 5: ANY caching results of popular resolvers",

@@ -87,8 +87,9 @@ func DefaultHostConfig() HostConfig {
 }
 
 // Datagram is a received UDP payload with its addressing. Payload is
-// only valid for the duration of the handler call: the network owns
-// the buffer and may recycle it afterwards. A handler that needs the
+// only valid for the duration of the handler call, and read-only: the
+// network owns the buffer, recycles it afterwards, and a train
+// rewrites it in place for its next datagram. A handler that needs the
 // bytes beyond its own return must copy them (keeping the Datagram
 // struct itself, e.g. to read Src/SrcPort later, is fine).
 type Datagram struct {
@@ -355,46 +356,75 @@ func (h *Host) SendUDP(srcPort uint16, dst netip.Addr, dstPort uint16, payload [
 // (delivery subject to the AS's egress filtering). The datagram is
 // fragmented if it exceeds the learned path MTU. payload is serialized
 // into a pooled buffer before this returns, so the caller may
-// immediately reuse it — the SadDNS flood patches one buffer's TXID
-// between calls and depends on exactly this.
+// immediately reuse it.
 func (h *Host) SendUDPSpoofed(src netip.Addr, srcPort uint16, dst netip.Addr, dstPort uint16, payload []byte) {
+	ip := h.udpPacket(src, srcPort, dst, dstPort, payload)
+	h.sendUDP(&ip, 1)
+}
+
+// SendUDPTrain sends n spoofed UDP datagrams that differ only in their
+// first two payload bytes, a big-endian ID that runs 0…n−1 (what
+// payload holds there is ignored): SadDNS's TXID flood. A train is
+// observably n SendUDPSpoofed calls — the same IP-IDs, loss draws,
+// counters, Trace events and handler calls, in the same order — but
+// costs one serialization, one egress and route decision and,
+// lossless, one scheduled delivery that rewrites one buffer per
+// datagram when it fires. Datagrams larger than the path MTU leave
+// one at a time, as fragments.
+func (h *Host) SendUDPTrain(src netip.Addr, srcPort uint16, dst netip.Addr, dstPort uint16, payload []byte, n int) {
+	if len(payload) < 2 {
+		panic("netsim: a train's payload must hold its two-byte ID")
+	}
+	if n <= 0 {
+		return
+	}
+	ip := h.udpPacket(src, srcPort, dst, dstPort, payload)
+	packet.SetUDPPayloadID(ip.Payload, 0)
+	h.sendUDP(&ip, n)
+}
+
+// udpPacket serializes a UDP datagram into a pooled buffer and wraps
+// it in an IPv4 packet carrying the host's next IP-ID toward dst.
+func (h *Host) udpPacket(src netip.Addr, srcPort uint16, dst netip.Addr, dstPort uint16, payload []byte) packet.IPv4 {
 	u := packet.UDP{SrcPort: srcPort, DstPort: dstPort, Payload: payload}
 	wire, err := u.Serialize(h.net.wirep.Get(packet.UDPHeaderLen+len(payload)), src, dst)
 	if err != nil {
 		panic(fmt.Sprintf("netsim: udp serialize: %v", err))
 	}
-	ip := packet.IPv4{ID: h.NextIPID(dst), TTL: 64, Protocol: packet.ProtoUDP, Src: src, Dst: dst, Payload: wire}
-	h.sendMaybeFragmented(&ip, true)
+	return packet.IPv4{ID: h.NextIPID(dst), TTL: 64, Protocol: packet.ProtoUDP, Src: src, Dst: dst, Payload: wire}
 }
 
-// sendMaybeFragmented forwards ip whole when it fits the learned path
-// MTU and as fragments otherwise. owned marks ip.Payload as taken from
-// the network's wire pool (see Network.send). Fragments alias the
-// parent payload, so they are always sent unowned (copied) and the
-// parent buffer is recycled afterwards.
-func (h *Host) sendMaybeFragmented(ip *packet.IPv4, owned bool) {
+// sendUDP sends count datagrams built from ip, whose pooled payload it
+// takes over (see Network.send for how datagram k differs from ip).
+// Datagrams that fit the learned path MTU go to the network whole, as
+// one train; larger ones are fragmented one datagram at a time.
+// Fragments alias the parent payload, so they are sent unowned
+// (copied) and the parent buffer is recycled afterwards.
+func (h *Host) sendUDP(ip *packet.IPv4, count int) {
 	mtu := h.PMTUTo(ip.Dst)
 	if ip.TotalLen() <= mtu {
-		h.net.send(h, ip, owned)
+		h.net.send(h, ip, true, count)
 		return
 	}
-	frags, err := ip.Fragment(mtu)
-	if err != nil {
-		// DF set and over MTU: the packet is dropped at origin (a PTB
-		// would come back from a router in reality; sending hosts know
-		// their own PMTU already).
-		h.net.Dropped++
-		if owned {
-			h.net.wirep.Put(ip.Payload)
+	for k := 0; k < count; k++ {
+		if k > 0 {
+			ip.ID = h.NextIPID(ip.Dst)
+			packet.SetUDPPayloadID(ip.Payload, uint16(k))
 		}
-		return
+		frags, err := ip.Fragment(mtu)
+		if err != nil {
+			// No MTU to fragment into: the datagram is dropped at
+			// origin (a PTB would come back from a router in reality;
+			// sending hosts know their own PMTU already).
+			h.net.Offered++
+			h.net.Dropped++
+			continue
+		}
+		for _, f := range frags {
+			h.net.send(h, f, false, 1)
+		}
 	}
-	for _, f := range frags {
-		h.net.send(h, f, false)
-	}
-	if owned {
-		h.net.wirep.Put(ip.Payload)
-	}
+	h.net.wirep.Put(ip.Payload)
 }
 
 // SendRawIP injects an arbitrary pre-built IPv4 packet (the attacker's
@@ -414,7 +444,7 @@ func (h *Host) SendICMPSpoofed(src, dst netip.Addr, msg *packet.ICMP) {
 		panic(fmt.Sprintf("netsim: icmp serialize: %v", err))
 	}
 	ip := packet.IPv4{ID: h.NextIPID(dst), TTL: 64, Protocol: packet.ProtoICMP, Src: src, Dst: dst, Payload: wire}
-	h.net.send(h, &ip, true)
+	h.net.send(h, &ip, true, 1)
 }
 
 // Ping sends an ICMP echo request.

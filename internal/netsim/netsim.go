@@ -9,6 +9,7 @@
 package netsim
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"net/netip"
@@ -62,7 +63,11 @@ type Network struct {
 	// example programs use it to print Figure 1/2-style sequences.
 	Trace func(ev TraceEvent)
 
-	// Counters.
+	// Counters. Offered counts every datagram or fragment handed to
+	// the network, and the datagrams a sender drops for want of a
+	// fragmentable MTU; each ends as exactly one Delivered or Dropped,
+	// so once the clock is quiet Offered == Delivered + Dropped.
+	Offered   uint64
 	Delivered uint64
 	Dropped   uint64
 }
@@ -275,19 +280,24 @@ func (n *Network) Reset(seed int64) {
 	n.lossRate = 0
 	n.lossRng = nil
 	n.Trace = nil
+	n.Offered = 0
 	n.Delivered = 0
 	n.Dropped = 0
 }
 
-// delivery is one in-flight packet: a pre-allocated clock Action so
-// scheduling a delivery allocates neither a closure nor (at steady
-// state, thanks to the freelist) the node itself. ip.Payload is always
-// backed by the network's wire pool; whether it may be recycled after
-// delivery is decided per-path in Fire.
+// delivery is one scheduled train of datagrams: a pre-allocated clock
+// Action, so scheduling a delivery allocates neither a closure nor (at
+// steady state, thanks to the freelist) the node itself. ip is the
+// train's first datagram; datagram k of the train is ip with IP-ID
+// ip.ID+k and its payload's ID word (see Network.send) advanced by k.
+// An ordinary send is a train of one. ip.Payload is always backed by
+// the network's wire pool; whether it may be recycled after delivery
+// is decided per path in deliver.
 type delivery struct {
 	n      *Network
 	origin bgp.ASN
 	ip     packet.IPv4
+	count  int
 }
 
 func (n *Network) allocDelivery() *delivery {
@@ -309,94 +319,156 @@ func (n *Network) recycleDelivery(d *delivery) {
 // Send routes one IPv4 packet from the given host. The packet is
 // delivered after the network latency, or dropped (egress filtering,
 // no route, no receiving host and no interceptor). The payload is
-// copied before Send returns, so the caller may immediately reuse it
-// (the SadDNS flood patches TXIDs into one buffer between sends).
+// copied before Send returns, so the caller may immediately reuse it.
 func (n *Network) Send(from *Host, ip *packet.IPv4) {
-	n.send(from, ip, false)
+	n.send(from, ip, false, 1)
 }
 
-// send is Send with an ownership flag: owned means ip.Payload was
-// taken from n.wirep by the caller and responsibility for returning it
-// passes to the network (recycled on drop, handed to the delivery
-// otherwise). Unowned payloads are copied into a pooled buffer, which
-// is what preserves Send's caller-may-reuse contract.
-func (n *Network) send(from *Host, ip *packet.IPv4, owned bool) {
+// send hands count datagrams to the network. ip is the first; with
+// count > 1 it must be UDP, and datagram k is ip with the first word of
+// its UDP payload (the DNS ID) set to k and the sender's next IP-ID — a
+// train. Egress filtering, route and latency are resolved once; the
+// IP-ID draw, Sent and the loss draw stay per datagram, as count
+// separate sends would make them. Surviving datagrams with consecutive
+// IP-IDs share one scheduled delivery; a loss or an IP-ID jump starts
+// the next, so the nodes hold exactly the place in the timestamp
+// bucket that count separate deliveries would.
+//
+// owned means ip.Payload was taken from n.wirep by the caller and
+// responsibility for returning it passes to the network (recycled on
+// drop, handed to the first delivery otherwise). Every other delivery
+// copies it into a pooled buffer, which is what preserves Send's
+// caller-may-reuse contract.
+func (n *Network) send(from *Host, ip *packet.IPv4, owned bool, count int) {
+	n.Offered += uint64(count)
 	// Egress filtering: a spoofed source only escapes ASes that do not
 	// filter.
 	if ip.Src != from.Addr && n.AS(from.ASN).EgressFiltering {
-		n.Dropped++
+		for k := 1; k < count; k++ {
+			from.NextIPID(ip.Dst)
+		}
+		n.Dropped += uint64(count)
 		if owned {
 			n.wirep.Put(ip.Payload)
 		}
 		return
 	}
-	from.Sent++
-	if n.lossRate > 0 && n.lossRng.Float64() < n.lossRate {
-		n.Dropped++
-		if owned {
-			n.wirep.Put(ip.Payload)
+	origin, routed := n.RIB.Resolve(from.ASN, ip.Dst)
+	latency := n.latencyBetween(from.ASN, origin)
+	var d *delivery
+	for k := 0; k < count; k++ {
+		id := ip.ID
+		if k > 0 {
+			id = from.NextIPID(ip.Dst)
 		}
-		return
-	}
-	origin, ok := n.RIB.Resolve(from.ASN, ip.Dst)
-	if !ok {
-		n.Dropped++
-		if owned {
-			n.wirep.Put(ip.Payload)
+		from.Sent++
+		if n.lossRate > 0 && n.lossRng.Float64() < n.lossRate || !routed {
+			n.Dropped++
+			d = nil
+			continue
 		}
-		return
+		if d != nil && id == d.ip.ID+uint16(d.count) {
+			d.count++
+			continue
+		}
+		d = n.allocDelivery()
+		d.origin = origin
+		d.ip = *ip
+		d.ip.ID = id
+		d.count = 1
+		if owned {
+			owned = false
+		} else {
+			d.ip.Payload = append(n.wirep.Get(len(ip.Payload)), ip.Payload...)
+		}
+		if k > 0 {
+			packet.SetUDPPayloadID(d.ip.Payload, uint16(k))
+		}
+		n.Clock.AfterAction(latency, d)
 	}
-	d := n.allocDelivery()
-	d.origin = origin
-	d.ip = *ip
-	if !owned {
-		d.ip.Payload = append(n.wirep.Get(len(ip.Payload)), ip.Payload...)
+	if owned {
+		n.wirep.Put(ip.Payload)
 	}
-	n.Clock.AfterAction(n.latencyBetween(from.ASN, origin), d)
 }
 
-// Fire delivers the packet. Recycling rules: the payload buffer and
-// the delivery node go back to their freelists only on paths where no
-// reference can outlive the call — a plain (non-fragment) UDP or ICMP
-// delivery to a host without a raw-capture hook, or a routing drop
-// nobody observed. Fragments are retained by the defrag cache,
-// OnRaw/Interceptor hooks may keep the *IPv4, and ICMP handlers may
-// keep the decoded message (which aliases the payload), so those
-// paths leak to the GC — recycling is an optimisation, never an
-// obligation.
+// Fire delivers the train's datagrams in order, each exactly as its
+// own delivery would be: counters, Trace and the receiver's whole
+// receive path (checksum verify, port lookup, ICMP budget, handler)
+// stay per datagram. Between datagrams the one payload buffer is
+// rewritten in place — IP-ID, ID word and an O(1) checksum update —
+// which is safe because a UDP handler may not keep or modify Payload
+// past its return.
 func (d *delivery) Fire() {
+	dst := d.n.hosts[d.ip.Dst]
+	if dst != nil && dst.ASN != d.origin {
+		dst = nil // routed into an AS that does not host the address
+	}
+	for ; d.count > 1; d.count-- {
+		d.deliver(dst, true)
+		d.ip.ID++
+		packet.SetUDPPayloadID(d.ip.Payload, binary.BigEndian.Uint16(d.ip.Payload[packet.UDPHeaderLen:])+1)
+	}
+	d.deliver(dst, false)
+}
+
+// deliver hands the datagram in d.ip to dst, or, when the route ended
+// in an AS without that host (dst nil), to a hijacker's interceptor,
+// or drops it. more means the train rewrites d.ip for another datagram
+// afterwards, so a hook that may keep the packet (OnRaw, Interceptor)
+// gets its own copy. After the last datagram the payload buffer and
+// the node go back to their freelists only on paths where no reference
+// can outlive the call — a plain (non-fragment) UDP or ICMP delivery
+// to a host without a raw-capture hook, or a drop nobody observed.
+// Fragments are retained by the defrag cache, hooks may keep the
+// *IPv4, and ICMP handlers may keep the decoded message (which aliases
+// the payload), so those paths leak to the GC — recycling is an
+// optimisation, never an obligation.
+func (d *delivery) deliver(dst *Host, more bool) {
 	n := d.n
 	ip := &d.ip
-	dst := n.hosts[ip.Dst]
-	if dst != nil && dst.ASN == d.origin {
+	if dst != nil {
 		n.Delivered++
 		if n.Trace != nil {
 			n.Trace(TraceEvent{At: n.Clock.Now(), From: ip.Src, To: ip.Dst, Proto: ip.Protocol, Size: len(ip.Payload)})
 		}
 		safe := dst.onRaw == nil && !ip.IsFragment()
-		recyclePayload := safe && ip.Protocol == packet.ProtoUDP
-		dst.receive(ip)
-		if recyclePayload {
-			n.wirep.Put(ip.Payload)
+		if more && !safe {
+			dst.receive(n.detach(ip))
+			return
 		}
-		if safe {
+		dst.receive(ip)
+		if !more && safe {
+			if ip.Protocol == packet.ProtoUDP {
+				n.wirep.Put(ip.Payload)
+			}
 			n.recycleDelivery(d)
 		}
 		return
 	}
-	// Routed into an AS that does not host the address: a hijacker's
-	// interceptor may claim it.
 	if info := n.asInfo[d.origin]; info != nil && info.Interceptor != nil {
 		n.Delivered++
 		if n.Trace != nil {
 			n.Trace(TraceEvent{At: n.Clock.Now(), From: ip.Src, To: ip.Dst, Proto: ip.Protocol, Size: len(ip.Payload), Intercept: true})
 		}
+		if more {
+			ip = n.detach(ip)
+		}
 		info.Interceptor(ip)
 		return
 	}
 	n.Dropped++
-	n.wirep.Put(ip.Payload)
-	n.recycleDelivery(d)
+	if !more {
+		n.wirep.Put(ip.Payload)
+		n.recycleDelivery(d)
+	}
+}
+
+// detach returns a copy of ip with a pooled payload of its own, for a
+// hook that may keep the packet while its train moves on.
+func (n *Network) detach(ip *packet.IPv4) *packet.IPv4 {
+	c := *ip
+	c.Payload = append(n.wirep.Get(len(ip.Payload)), ip.Payload...)
+	return &c
 }
 
 // Run processes all pending events.

@@ -464,3 +464,81 @@ func TestDeliveryPoolTrim(t *testing.T) {
 		t.Fatalf("Trim(0) retained %d nodes", p.Retained())
 	}
 }
+
+// conserved asserts the packet-conservation invariant: once the clock
+// is quiet, every packet offered to the network was delivered or
+// dropped.
+func conserved(t *testing.T, n *Network) {
+	t.Helper()
+	if p := n.Clock.Pending(); p != 0 {
+		t.Fatalf("%d events still pending", p)
+	}
+	if n.Offered != n.Delivered+n.Dropped {
+		t.Fatalf("offered %d != delivered %d + dropped %d", n.Offered, n.Delivered, n.Dropped)
+	}
+}
+
+// TestPacketConservation drives every way a packet can leave the
+// network — delivery, interception, and each drop path — and checks
+// Offered == Delivered + Dropped with the exact split each path
+// implies.
+func TestPacketConservation(t *testing.T) {
+	big := make([]byte, 1000)
+	for _, tc := range []struct {
+		name               string
+		send               func(tn *testNet)
+		delivered, dropped uint64
+	}{
+		{"bound port", func(tn *testNet) {
+			tn.ns.BindUDP(53, func(Datagram) {})
+			tn.victim.SendUDP(40000, tn.ns.Addr, 53, []byte("q"))
+		}, 1, 0},
+		{"closed port and its ICMP error", func(tn *testNet) {
+			tn.atk.SendUDP(1234, tn.victim.Addr, 9999, []byte("probe"))
+		}, 2, 0},
+		{"fragments", func(tn *testNet) {
+			tn.ns.BindUDP(53, func(Datagram) {})
+			tn.victim.SetPMTU(tn.ns.Addr, 576)
+			tn.victim.SendUDP(40000, tn.ns.Addr, 53, big)
+		}, 2, 0},
+		{"egress filter", func(tn *testNet) {
+			tn.victim.SendUDPSpoofed(netip.MustParseAddr("9.9.9.9"), 1, tn.ns.Addr, 53, []byte("x"))
+		}, 0, 1},
+		{"loss", func(tn *testNet) {
+			tn.ns.BindUDP(53, func(Datagram) {})
+			tn.net.SetLossRate(1)
+			tn.victim.SendUDP(40000, tn.ns.Addr, 53, []byte("q"))
+		}, 0, 1},
+		{"no route", func(tn *testNet) {
+			tn.victim.SendUDP(40000, netip.MustParseAddr("203.0.113.1"), 53, []byte("q"))
+		}, 0, 1},
+		{"DF: no fragmentable MTU", func(tn *testNet) {
+			tn.victim.SetPMTU(tn.ns.Addr, 24)
+			tn.victim.SendUDP(40000, tn.ns.Addr, 53, big)
+		}, 0, 1},
+		{"no receiving host", func(tn *testNet) {
+			tn.victim.SendUDP(40000, netip.MustParseAddr("123.0.0.99"), 53, []byte("q"))
+		}, 0, 1},
+		{"interceptor", func(tn *testNet) {
+			tn.net.AS(tn.atkAS).Interceptor = func(*packet.IPv4) {}
+			tn.net.RIB.Announce(netip.MustParsePrefix("123.0.0.0/24"), tn.atkAS)
+			tn.victim.SendUDP(40000, tn.ns.Addr, 53, []byte("q"))
+		}, 1, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tn := build(t)
+			tn.net.Snapshot()
+			tc.send(tn)
+			tn.net.Run()
+			conserved(t, tn.net)
+			if tn.net.Delivered != tc.delivered || tn.net.Dropped != tc.dropped {
+				t.Fatalf("delivered %d, dropped %d; want %d, %d",
+					tn.net.Delivered, tn.net.Dropped, tc.delivered, tc.dropped)
+			}
+			tn.net.Reset(2)
+			if tn.net.Offered != 0 {
+				t.Fatalf("Reset left Offered = %d", tn.net.Offered)
+			}
+		})
+	}
+}

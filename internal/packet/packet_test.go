@@ -247,3 +247,45 @@ func TestFragmentRoundTripProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestSetUDPPayloadIDMatchesSerialize walks the ID through all 65,536
+// values by successive patches, as a TXID flood train does, and
+// requires every step to be byte-identical to a fresh Serialize of the
+// patched payload — including the one value whose computed checksum is
+// zero and goes out as 0xffff. Random payloads and IDs cover the rest.
+func TestSetUDPPayloadIDMatchesSerialize(t *testing.T) {
+	fresh := func(payload []byte) []byte {
+		u := &UDP{SrcPort: 53, DstPort: 40000, Payload: payload}
+		wire, err := u.Serialize(nil, ipB, ipA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wire
+	}
+	payload := []byte("\x00\x00 a spoofed response body.")
+	wire := fresh(payload)
+	sawZero := false
+	for id := 0; id < 1<<16; id++ {
+		SetUDPPayloadID(wire, uint16(id))
+		payload[0], payload[1] = byte(id>>8), byte(id)
+		want := fresh(payload)
+		if !bytes.Equal(wire, want) {
+			t.Fatalf("ID %#04x: patched % x, serialized % x", id, wire, want)
+		}
+		sawZero = sawZero || want[6] == 0xff && want[7] == 0xff
+	}
+	if !sawZero {
+		t.Fatal("no step produced a computed-zero checksum")
+	}
+
+	f := func(body []byte, id uint16) bool {
+		body = append(body, 0, 0)
+		wire := fresh(body)
+		SetUDPPayloadID(wire, id)
+		body[0], body[1] = byte(id>>8), byte(id)
+		return bytes.Equal(wire, fresh(body))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(10))}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -86,3 +86,25 @@ func DecodeUDPInto(u *UDP, data []byte, src, dst netip.Addr, verify bool) error 
 	}
 	return nil
 }
+
+// SetUDPPayloadID overwrites the first 16-bit word of a serialized UDP
+// datagram's payload (wire starts at the UDP header) — a DNS message's
+// ID — with id, big-endian, and updates the checksum for that change
+// alone (RFC 1624, eqn. 3): the result is byte-identical to
+// serializing the patched payload afresh, at O(1) cost instead of a
+// pass over the datagram. A datagram sent without a checksum (zero)
+// keeps none.
+func SetUDPPayloadID(wire []byte, id uint16) {
+	p := wire[UDPHeaderLen:]
+	old := binary.BigEndian.Uint16(p)
+	binary.BigEndian.PutUint16(p, id)
+	ck := binary.BigEndian.Uint16(wire[6:])
+	if ck == 0 {
+		return
+	}
+	ck = FoldChecksum(uint32(^ck) + uint32(^old) + uint32(id))
+	if ck == 0 {
+		ck = 0xffff // as Serialize sends a computed zero
+	}
+	binary.BigEndian.PutUint16(wire[6:], ck)
+}

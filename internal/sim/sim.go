@@ -48,8 +48,8 @@ type event struct {
 // threaded through the event nodes. The scheduler's contract is (time,
 // sequence) ordering; within one timestamp that is exactly FIFO, so a
 // bucket needs no per-event sequence numbers — and draining a
-// same-time burst (the paper's floods park tens of thousands of
-// deliveries at now+latency) costs O(1) per event instead of an
+// same-time burst (the paper's floods park thousands of deliveries at
+// now+latency) costs O(1) per event instead of an
 // O(log n) heap sift with comparison calls. Threading the list through
 // the nodes keeps a bucket three words wide however large its burst
 // was, so pooled buckets retain no burst-sized storage.
