@@ -22,7 +22,6 @@ import (
 	"crosslayer/internal/bgp"
 	"crosslayer/internal/campaign"
 	"crosslayer/internal/core"
-	"crosslayer/internal/dnssrv"
 	"crosslayer/internal/dnswire"
 	"crosslayer/internal/ipfrag"
 	"crosslayer/internal/measure"
@@ -272,13 +271,9 @@ func BenchmarkFigure1SadDNS(b *testing.B) {
 	// Figure 1 is the SadDNS sequence: one full attack per iteration.
 	for i := 0; i < b.N; i++ {
 		cfg := scenario.Config{Seed: int64(i)}
-		cfg.ServerCfg = dnssrv.DefaultConfig()
-		cfg.ServerCfg.RateLimit = true
-		cfg.ServerCfg.RateLimitQPS = 10
+		scenario.OpenSadDNS(&cfg)
 		s := scenario.New(cfg)
-		s.ResolverHost.Cfg.PortMin = 32768
-		s.ResolverHost.Cfg.PortMax = 32768 + 399
-		res := crosslayer.RunSadDNS(s, crosslayer.AttackOptions{MaxIterations: 20})
+		res := s.SadDNS("www.vict.im.", crosslayer.Effort{Ports: 400, MaxIterations: 20}).Run(s.Trigger("www.vict.im."))
 		if !res.Success {
 			b.Fatalf("saddns failed: %+v", res)
 		}
@@ -289,10 +284,9 @@ func BenchmarkFigure2FragDNS(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		cfg := scenario.Config{Seed: int64(i)}
-		cfg.ServerCfg = dnssrv.DefaultConfig()
-		cfg.ServerCfg.PadAnswersTo = 1200
+		scenario.OpenFragDNS(&cfg)
 		s := scenario.New(cfg)
-		res := crosslayer.RunFragDNS(s, crosslayer.AttackOptions{})
+		res := s.FragDNS("www.vict.im.", fragEffort).Run(s.Trigger("www.vict.im."))
 		if !res.Success {
 			b.Fatalf("fragdns failed: %+v", res)
 		}
@@ -426,9 +420,9 @@ func BenchmarkResolverFullResolution(b *testing.B) {
 }
 
 func BenchmarkCraftSecondFragment(b *testing.B) {
-	cfg := dnssrv.DefaultConfig()
-	cfg.PadAnswersTo = 1200
-	s := scenario.New(scenario.Config{Seed: 6, ServerCfg: cfg})
+	cfg := scenario.Config{Seed: 6}
+	scenario.OpenFragDNS(&cfg)
+	s := scenario.New(cfg)
 	q := dnswire.NewQuery(1, "www.vict.im.", dnswire.TypeA)
 	q.SetEDNS(4096, false)
 	wire, _ := s.NS.BuildResponse(q).Pack()

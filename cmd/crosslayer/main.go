@@ -12,7 +12,6 @@ import (
 	"os"
 
 	"crosslayer"
-	"crosslayer/internal/dnssrv"
 	"crosslayer/internal/scenario"
 )
 
@@ -27,26 +26,23 @@ func main() {
 			name, res.Success, res.Iterations, res.QueriesTriggered, res.AttackerPackets, res.Duration, res.Detail)
 	}
 
+	const qname = "www.vict.im."
 	run := func(name string) {
+		cfg := crosslayer.Config{Seed: *seed}
 		switch name {
 		case "hijack":
-			s := crosslayer.NewScenario(crosslayer.Config{Seed: *seed})
-			report("HijackDNS", crosslayer.RunHijackDNS(s, crosslayer.AttackOptions{}))
+			s := crosslayer.NewScenario(cfg)
+			report("HijackDNS", s.HijackDNS(qname).Run(s.Trigger(qname)))
 		case "saddns":
-			cfg := crosslayer.Config{Seed: *seed}
-			cfg.ServerCfg = dnssrv.DefaultConfig()
-			cfg.ServerCfg.RateLimit = true
-			cfg.ServerCfg.RateLimitQPS = 10
+			scenario.OpenSadDNS(&cfg)
 			s := crosslayer.NewScenario(cfg)
-			s.ResolverHost.Cfg.PortMin = 32768
-			s.ResolverHost.Cfg.PortMax = uint16(32768 + *ports - 1)
-			report("SadDNS", crosslayer.RunSadDNS(s, crosslayer.AttackOptions{MaxIterations: 200}))
+			atk := s.SadDNS(qname, crosslayer.Effort{Ports: *ports, MaxIterations: 200})
+			report("SadDNS", atk.Run(s.Trigger(qname)))
 		case "fragdns":
-			cfg := crosslayer.Config{Seed: *seed}
-			cfg.ServerCfg = dnssrv.DefaultConfig()
-			cfg.ServerCfg.PadAnswersTo = 1200
+			scenario.OpenFragDNS(&cfg)
 			s := crosslayer.NewScenario(cfg)
-			report("FragDNS", crosslayer.RunFragDNS(s, crosslayer.AttackOptions{}))
+			atk := s.FragDNS(qname, crosslayer.Effort{IPIDGuesses: 64, MaxIterations: 8})
+			report("FragDNS", atk.Run(s.Trigger(qname)))
 		default:
 			fmt.Fprintf(os.Stderr, "unknown attack %q\n", name)
 			os.Exit(2)

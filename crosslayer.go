@@ -17,8 +17,9 @@
 //   - the §5 measurement harness that regenerates every table and
 //     figure of the evaluation on calibrated synthetic populations.
 //
-// The facade below wires the canonical victim/attacker scenario and
-// exposes one-call attack runners; the example programs under
+// The facade below wires the canonical victim/attacker scenario; its
+// HijackDNS, SadDNS and FragDNS methods build each methodology's
+// attack, and its Trigger starts one. The example programs under
 // examples/ show typical use, and cmd/xlmeasure regenerates the
 // paper's tables.
 //
@@ -57,7 +58,6 @@ package crosslayer
 
 import (
 	"context"
-	"net/netip"
 
 	"crosslayer/internal/campaign"
 	"crosslayer/internal/core"
@@ -94,92 +94,11 @@ var (
 // NewScenario builds the canonical scenario.
 func NewScenario(cfg Config) *Scenario { return scenario.New(cfg) }
 
-// AttackOptions selects the record an attack should plant and bounds
-// its effort.
-type AttackOptions struct {
-	// QName/SpoofAddr: the poisoning target; defaults to
-	// www.vict.im. -> the attacker host.
-	QName     string
-	SpoofAddr netip.Addr
-	// MaxIterations bounds probabilistic attacks.
-	MaxIterations int
-}
-
-func (o *AttackOptions) fill() {
-	if o.QName == "" {
-		o.QName = "www.vict.im."
-	}
-	if !o.SpoofAddr.IsValid() {
-		o.SpoofAddr = scenario.AttackerIP
-	}
-}
-
-func spoofFor(o AttackOptions) core.Spoof {
-	return core.Spoof{
-		QName: o.QName, QType: dnswire.TypeA,
-		Records: []*dnswire.RR{dnswire.NewA(o.QName, 300, o.SpoofAddr)},
-	}
-}
-
-// RunHijackDNS intercepts the resolver's query with a sub-prefix
-// hijack of the nameserver's block and answers it (§3.1).
-func RunHijackDNS(s *Scenario, opts AttackOptions) Result {
-	opts.fill()
-	atk := &core.HijackDNS{
-		Attacker:     s.Attacker,
-		HijackPrefix: netip.MustParsePrefix("123.0.0.0/24"),
-		NSAddr:       scenario.NSIP,
-		Spoof:        spoofFor(opts),
-	}
-	return atk.Run(core.TriggerDirect(s.ClientHost, scenario.ResolverIP, opts.QName, dnswire.TypeA))
-}
-
-// RunSadDNS runs the ICMP side-channel attack (§3.2). The target
-// nameserver should have response-rate limiting enabled (set
-// Config.ServerCfg.RateLimit) or the genuine answer wins the race.
-func RunSadDNS(s *Scenario, opts AttackOptions) Result {
-	opts.fill()
-	if opts.MaxIterations == 0 {
-		opts.MaxIterations = 50
-	}
-	atk := &core.SadDNS{
-		Attacker:      s.Attacker,
-		ResolverAddr:  scenario.ResolverIP,
-		NSAddr:        scenario.NSIP,
-		Spoof:         spoofFor(opts),
-		PortMin:       s.ResolverHost.Cfg.PortMin,
-		PortMax:       s.ResolverHost.Cfg.PortMax,
-		MuteQPS:       2 * s.NS.Cfg.RateLimitQPS,
-		MaxIterations: opts.MaxIterations,
-		CheckSuccess:  func() bool { return s.Poisoned(opts.QName, dnswire.TypeA) },
-	}
-	return atk.Run(core.TriggerDirect(s.ClientHost, scenario.ResolverIP, opts.QName, dnswire.TypeA))
-}
-
-// RunFragDNS runs the fragmentation attack (§3.3). The nameserver
-// must emit large responses (set Config.ServerCfg.PadAnswersTo) so a
-// reduced path MTU fragments them.
-func RunFragDNS(s *Scenario, opts AttackOptions) Result {
-	opts.fill()
-	if opts.MaxIterations == 0 {
-		opts.MaxIterations = 8
-	}
-	atk := &core.FragDNS{
-		Attacker:      s.Attacker,
-		ResolverAddr:  scenario.ResolverIP,
-		NSAddr:        scenario.NSIP,
-		QName:         opts.QName,
-		QType:         dnswire.TypeA,
-		SpoofAddr:     opts.SpoofAddr,
-		ForcedMTU:     68,
-		ResolverEDNS:  s.Resolver.Prof.EDNSSize,
-		PredictIPID:   true,
-		IPIDGuesses:   64,
-		MaxIterations: opts.MaxIterations,
-		CheckSuccess:  func() bool { return s.Poisoned(opts.QName, dnswire.TypeA) },
-	}
-	return atk.Run(core.TriggerDirect(s.ClientHost, scenario.ResolverIP, opts.QName, dnswire.TypeA))
-}
+// Effort bounds an attack built by Scenario.SadDNS or
+// Scenario.FragDNS: the resolver ports SadDNS scans, the triggered
+// queries, and FragDNS's IP-ID guesses per trigger. A zero field keeps
+// the attack's own default.
+type Effort = scenario.Effort
 
 // Poisoned reports whether the scenario's resolver cache holds an
 // attacker-controlled record for name.

@@ -8,13 +8,12 @@ import (
 
 	"crosslayer"
 	"crosslayer/internal/apps"
-	"crosslayer/internal/dnssrv"
 	"crosslayer/internal/scenario"
 )
 
 func TestFacadeHijack(t *testing.T) {
 	s := crosslayer.NewScenario(crosslayer.Config{Seed: 1})
-	res := crosslayer.RunHijackDNS(s, crosslayer.AttackOptions{})
+	res := s.HijackDNS("www.vict.im.").Run(s.Trigger("www.vict.im."))
 	if !res.Success || !crosslayer.Poisoned(s, "www.vict.im.") {
 		t.Fatalf("facade hijack: %+v", res)
 	}
@@ -22,24 +21,23 @@ func TestFacadeHijack(t *testing.T) {
 
 func TestFacadeSadDNS(t *testing.T) {
 	cfg := crosslayer.Config{Seed: 2}
-	cfg.ServerCfg = crosslayer.DefaultServerConfig()
-	cfg.ServerCfg.RateLimit = true
-	cfg.ServerCfg.RateLimitQPS = 10
+	scenario.OpenSadDNS(&cfg)
 	s := crosslayer.NewScenario(cfg)
-	s.ResolverHost.Cfg.PortMin = 32768
-	s.ResolverHost.Cfg.PortMax = 32768 + 399
-	res := crosslayer.RunSadDNS(s, crosslayer.AttackOptions{MaxIterations: 20})
+	res := s.SadDNS("www.vict.im.", crosslayer.Effort{Ports: 400, MaxIterations: 20}).Run(s.Trigger("www.vict.im."))
 	if !res.Success || !crosslayer.Poisoned(s, "www.vict.im.") {
 		t.Fatalf("facade saddns: %+v", res)
 	}
 }
 
+// fragEffort is the FragDNS effort the facade tests and benchmarks run
+// with: 64 consecutive IP-ID guesses per trigger, at most 8 triggers.
+var fragEffort = crosslayer.Effort{IPIDGuesses: 64, MaxIterations: 8}
+
 func TestFacadeFragDNS(t *testing.T) {
 	cfg := crosslayer.Config{Seed: 3}
-	cfg.ServerCfg = crosslayer.DefaultServerConfig()
-	cfg.ServerCfg.PadAnswersTo = 1200
+	scenario.OpenFragDNS(&cfg)
 	s := crosslayer.NewScenario(cfg)
-	res := crosslayer.RunFragDNS(s, crosslayer.AttackOptions{})
+	res := s.FragDNS("www.vict.im.", fragEffort).Run(s.Trigger("www.vict.im."))
 	if !res.Success || !crosslayer.Poisoned(s, "www.vict.im.") {
 		t.Fatalf("facade fragdns: %+v", res)
 	}
@@ -50,13 +48,12 @@ func TestFacadeFragDNS(t *testing.T) {
 // by the attacker — the complete cross-layer story in one test.
 func TestFullCrossLayerChain(t *testing.T) {
 	cfg := crosslayer.Config{Seed: 4}
-	cfg.ServerCfg = dnssrv.DefaultConfig()
-	cfg.ServerCfg.PadAnswersTo = 1200
+	scenario.OpenFragDNS(&cfg)
 	s := crosslayer.NewScenario(cfg)
 	apps.NewWebServer(s.WWWHost, apps.Identity{Subject: "www.vict.im.", Issuer: apps.TrustedCA}).Pages["/"] = "genuine"
 	apps.NewWebServer(s.Attacker, apps.SelfSigned("www.vict.im.")).Pages["/"] = "evil"
 
-	res := crosslayer.RunFragDNS(s, crosslayer.AttackOptions{})
+	res := s.FragDNS("www.vict.im.", fragEffort).Run(s.Trigger("www.vict.im."))
 	if !res.Success {
 		t.Fatalf("attack failed: %+v", res)
 	}

@@ -11,16 +11,13 @@ import (
 
 	"crosslayer/internal/apps"
 	"crosslayer/internal/core"
-	"crosslayer/internal/dnssrv"
 	"crosslayer/internal/dnswire"
 	"crosslayer/internal/scenario"
 )
 
 func main() {
 	cfg := scenario.Config{Seed: 13}
-	cfg.ServerCfg = dnssrv.DefaultConfig()
-	cfg.ServerCfg.RateLimit = true
-	cfg.ServerCfg.RateLimitQPS = 10
+	scenario.OpenSadDNS(&cfg)
 	s := scenario.New(cfg)
 	s.ResolverHost.Cfg.PortMin = 32768
 	s.ResolverHost.Cfg.PortMax = 32768 + 499

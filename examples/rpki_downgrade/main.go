@@ -10,18 +10,13 @@ import (
 	"net/netip"
 
 	"crosslayer/internal/bgp"
-	"crosslayer/internal/core"
-	"crosslayer/internal/dnssrv"
-	"crosslayer/internal/dnswire"
-	"crosslayer/internal/resolver"
 	"crosslayer/internal/rpki"
 	"crosslayer/internal/scenario"
 )
 
 func main() {
 	cfg := scenario.Config{Seed: 11}
-	cfg.ServerCfg = dnssrv.DefaultConfig()
-	cfg.ServerCfg.PadAnswersTo = 1200
+	scenario.OpenFragDNS(&cfg)
 	s := scenario.New(cfg)
 
 	// Every AS enforces route-origin validation, fed by one relying
@@ -51,14 +46,7 @@ func main() {
 
 	fmt.Println("\n== cross-layer attack ==")
 	fmt.Println("step 1: FragDNS poisons the relying party's resolver for rpki.vict.im")
-	atk := &core.FragDNS{
-		Attacker: s.Attacker, ResolverAddr: scenario.ResolverIP, NSAddr: scenario.NSIP,
-		QName: "rpki.vict.im.", QType: dnswire.TypeA, SpoofAddr: scenario.AttackerIP,
-		ForcedMTU: 68, ResolverEDNS: resolver.ProfileBIND.EDNSSize,
-		PredictIPID: true, IPIDGuesses: 64,
-		CheckSuccess: func() bool { return s.Poisoned("rpki.vict.im.", dnswire.TypeA) },
-	}
-	res := atk.Run(core.TriggerDirect(s.ClientHost, scenario.ResolverIP, "rpki.vict.im.", dnswire.TypeA))
+	res := s.FragDNS("rpki.vict.im.", scenario.Effort{IPIDGuesses: 64}).Run(s.Trigger("rpki.vict.im."))
 	fmt.Printf("        poisoning success=%v (%d packets)\n", res.Success, res.AttackerPackets)
 
 	fmt.Println("step 2: relying party syncs — and fetches from the attacker's empty repo")

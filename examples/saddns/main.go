@@ -6,10 +6,7 @@ package main
 
 import (
 	"fmt"
-	"net/netip"
 
-	"crosslayer/internal/core"
-	"crosslayer/internal/dnssrv"
 	"crosslayer/internal/dnswire"
 	"crosslayer/internal/netsim"
 	"crosslayer/internal/packet"
@@ -18,15 +15,13 @@ import (
 
 func main() {
 	cfg := scenario.Config{Seed: 7}
-	cfg.ServerCfg = dnssrv.DefaultConfig()
-	cfg.ServerCfg.RateLimit = true
-	cfg.ServerCfg.RateLimitQPS = 10 // rate-limited NS: SadDNS's muting lever
+	scenario.OpenSadDNS(&cfg) // rate-limited NS: SadDNS's muting lever
 	s := scenario.New(cfg)
 
 	// Narrow the port range so the demo converges in one iteration
 	// (the full 28k-port hunt is the Table 6 benchmark).
-	s.ResolverHost.Cfg.PortMin = 32768
-	s.ResolverHost.Cfg.PortMax = 32768 + 499
+	const qname = "www.vict.im."
+	atk := s.SadDNS(qname, scenario.Effort{Ports: 500, MaxIterations: 30})
 
 	// Print a few of each interesting packet kind (Figure 1's arrows):
 	// the spoofed NS→resolver traffic is either a tiny port probe or a
@@ -52,26 +47,15 @@ func main() {
 		}
 	}
 
-	atk := &core.SadDNS{
-		Attacker:     s.Attacker,
-		ResolverAddr: scenario.ResolverIP,
-		NSAddr:       scenario.NSIP,
-		Spoof: core.Spoof{QName: "www.vict.im.", QType: dnswire.TypeA,
-			Records: []*dnswire.RR{dnswire.NewA("www.vict.im.", 300, scenario.AttackerIP)}},
-		PortMin: 32768, PortMax: 32768 + 499,
-		MuteQPS: 20, MaxIterations: 30,
-		CheckSuccess: func() bool { return s.Poisoned("www.vict.im.", dnswire.TypeA) },
-	}
 	fmt.Println("step 1: flood queries to mute the rate-limited nameserver")
 	fmt.Println("step 2: trigger query 'www.vict.im. A?' at the victim resolver")
 	fmt.Println("step 3: scan UDP ports, 50 spoofed probes + 1 verification per ICMP window")
 	fmt.Println("step 4: divide and conquer, then flood 2^16 TXIDs")
-	res := atk.Run(core.TriggerDirect(s.ClientHost, scenario.ResolverIP, "www.vict.im.", dnswire.TypeA))
+	res := atk.Run(s.Trigger(qname))
 
 	fmt.Printf("\nresult: success=%v iterations=%d attacker packets=%d duration=%v\n",
 		res.Success, res.Iterations, res.AttackerPackets, res.Duration)
 	fmt.Printf("trace saw %d spoofed port probes and %d TXID-flood responses\n", probes, floods)
 	fmt.Printf("spoofed datagrams the resolver rejected (wrong TXID): %d\n", s.Resolver.SpoofRejected)
-	fmt.Printf("cache now says www.vict.im = attacker: %v\n", s.Poisoned("www.vict.im.", dnswire.TypeA))
-	_ = netip.Addr{}
+	fmt.Printf("cache now says www.vict.im = attacker: %v\n", s.Poisoned(qname, dnswire.TypeA))
 }

@@ -25,7 +25,6 @@ package campaign
 
 import (
 	"fmt"
-	"net/netip"
 	"sort"
 	"strconv"
 	"strings"
@@ -33,28 +32,22 @@ import (
 	"crosslayer/internal/apps"
 	"crosslayer/internal/core"
 	"crosslayer/internal/deploy"
-	"crosslayer/internal/dnssrv"
-	"crosslayer/internal/dnswire"
 	"crosslayer/internal/measure"
 	"crosslayer/internal/resolver"
 	"crosslayer/internal/scenario"
 )
 
-// Attack-effort knobs shared by every cell. They bound the per-cell
-// simulation cost so the full 750-cell product stays tractable; the
-// bounds are generous enough that every method converges on its
-// vulnerable cells.
-const (
-	// sadPortRange is the resolver ephemeral-port span SadDNS scans
-	// per cell (the paper's resolvers expose ~28k ports; the scan cost
-	// is linear in the range and the side channel identical).
-	sadPortRange = 256
-	// sadMaxIterations bounds SadDNS query triggers per trial.
-	sadMaxIterations = 3
-	// fragIPIDGuesses is the planted-fragment window per iteration.
-	fragIPIDGuesses = 16
-	// fragMaxIterations bounds FragDNS triggers per trial.
-	fragMaxIterations = 4
+// Attack effort shared by every cell. It bounds the per-cell
+// simulation cost so the full product stays tractable; the bounds are
+// generous enough that every method converges on its vulnerable cells.
+var (
+	// sadEffort scans 256 resolver ports (the paper's resolvers expose
+	// ~28k; the scan cost is linear in the range and the side channel
+	// identical) over at most 3 triggered queries per trial.
+	sadEffort = scenario.Effort{Ports: 256, MaxIterations: 3}
+	// fragEffort plants 16 IP-ID guesses per trigger, at most 4
+	// triggers per trial.
+	fragEffort = scenario.Effort{IPIDGuesses: 16, MaxIterations: 4}
 )
 
 // Method is one registered poisoning methodology: how to open its
@@ -76,75 +69,24 @@ type Method struct {
 }
 
 // Methods returns the methodology registry in paper order (§3.1-3.3).
+// Each entry opens its surface and builds its attack through the
+// scenario's one constructor per method.
 func Methods() []Method {
 	return []Method{
 		{
 			Key: "hijack", Name: "HijackDNS",
-			Prepare: func(cfg *scenario.Config) {},
-			New: func(s *scenario.S, qname string) core.Attack {
-				return &core.HijackDNS{
-					Attacker:     s.Attacker,
-					HijackPrefix: netip.MustParsePrefix("123.0.0.0/24"),
-					NSAddr:       scenario.NSIP,
-					Spoof: core.Spoof{QName: qname, QType: dnswire.TypeA,
-						Records: []*dnswire.RR{dnswire.NewA(qname, 300, scenario.AttackerIP)}},
-				}
-			},
+			Prepare: func(*scenario.Config) {},
+			New:     func(s *scenario.S, qname string) core.Attack { return s.HijackDNS(qname) },
 		},
 		{
 			Key: "saddns", Name: "SadDNS",
-			Prepare: func(cfg *scenario.Config) {
-				cfg.ServerCfg.RateLimit = true
-				cfg.ServerCfg.RateLimitQPS = 10
-			},
-			New: func(s *scenario.S, qname string) core.Attack {
-				s.ResolverHost.Cfg.PortMin = 32768
-				s.ResolverHost.Cfg.PortMax = 32768 + sadPortRange - 1
-				// Target the chain's weakest hop: a forwarder's tiny
-				// ephemeral range beats the resolver's, and injecting
-				// there bypasses every resolver-side defense. The
-				// nameserver stays the mute target either way — with it
-				// silenced the whole chain keeps its sockets open.
-				target := core.WeakestPortHop(s.Hops())
-				return &core.SadDNS{
-					Attacker:     s.Attacker,
-					ResolverAddr: target.Addr,
-					NSAddr:       scenario.NSIP,
-					SpoofSource:  target.Upstream,
-					Spoof: core.Spoof{QName: qname, QType: dnswire.TypeA,
-						Records: []*dnswire.RR{dnswire.NewA(qname, 300, scenario.AttackerIP)}},
-					PortMin: target.Host.Cfg.PortMin, PortMax: target.Host.Cfg.PortMax,
-					MuteQPS:       2 * s.NS.Cfg.RateLimitQPS,
-					MaxIterations: sadMaxIterations,
-					CheckSuccess:  func() bool { return s.ChainPoisoned(qname, dnswire.TypeA) },
-				}
-			},
+			Prepare: scenario.OpenSadDNS,
+			New:     func(s *scenario.S, qname string) core.Attack { return s.SadDNS(qname, sadEffort) },
 		},
 		{
 			Key: "frag", Name: "FragDNS",
-			Prepare: func(cfg *scenario.Config) {
-				cfg.ServerCfg.PadAnswersTo = 1200
-			},
-			New: func(s *scenario.S, qname string) core.Attack {
-				// Fragmentation only pays at the hop whose upstream emits
-				// padded authoritative responses — the recursive resolver
-				// (core.FragmentationHop); the poisoned record still
-				// floods every per-hop cache on the way back down.
-				target := core.FragmentationHop(s.Hops())
-				return &core.FragDNS{
-					Attacker:     s.Attacker,
-					ResolverAddr: target.Addr,
-					NSAddr:       target.Upstream,
-					QName:        qname, QType: dnswire.TypeA,
-					SpoofAddr:    scenario.AttackerIP,
-					ForcedMTU:    68,
-					ResolverEDNS: s.Resolver.Prof.EDNSSize,
-					ResolverDO:   s.Resolver.Prof.ValidateDNSSEC,
-					PredictIPID:  true, IPIDGuesses: fragIPIDGuesses,
-					MaxIterations: fragMaxIterations,
-					CheckSuccess:  func() bool { return s.ChainPoisoned(qname, dnswire.TypeA) },
-				}
-			},
+			Prepare: scenario.OpenFragDNS,
+			New:     func(s *scenario.S, qname string) core.Attack { return s.FragDNS(qname, fragEffort) },
 		},
 	}
 }
@@ -522,13 +464,4 @@ func selected[T any](dim string, all []T, key func(T) string, want []string) ([]
 			dim, strings.Join(unknown, ", "), strings.Join(valid, ", "))
 	}
 	return out, nil
-}
-
-// baseScenarioConfig is the per-trial starting point every cell
-// specialises: explicit server defaults so method Prepare and defense
-// Apply both mutate fields of a known baseline.
-func baseScenarioConfig(seed int64, prof resolver.Profile) scenario.Config {
-	cfg := scenario.Config{Seed: seed, Profile: prof}
-	cfg.ServerCfg = dnssrv.DefaultConfig()
-	return cfg
 }

@@ -119,7 +119,7 @@ type trialWorker struct {
 // per trial), placement, the worker's shared pools, the method's
 // Prepare overrides, and the defense stack.
 func (w *trialWorker) cellConfig(c Cell) scenario.Config {
-	scfg := baseScenarioConfig(0, c.Profile.Profile)
+	scfg := scenario.Config{Profile: c.Profile.Profile}
 	scfg.Profile.Transport = c.Transport.Resolver
 	scfg.Profile.Opportunistic = c.Transport.Opportunistic
 	scfg.ForwarderChain = c.Depth.Chain
@@ -220,7 +220,7 @@ func runTrial(s *scenario.S, c Cell, downgrade bool) (poisoned, impact bool, r c
 	} else {
 		atk = c.Method.New(s, c.Victim.QName)
 	}
-	r = atk.Run(core.TriggerDirect(s.ClientHost, s.DNSAddr(), c.Victim.QName, dnswire.TypeA))
+	r = atk.Run(s.Trigger(c.Victim.QName))
 	poisoned = s.ChainPoisoned(c.Victim.QName, dnswire.TypeA)
 	impact = exercise() == c.Victim.AttackOutcome
 	return poisoned, impact, r

