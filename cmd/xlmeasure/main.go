@@ -56,12 +56,17 @@
 // trial world's SAV, 0x20/DNSSEC retention and forwarder port spans
 // from measured rates — unlike the other filters, empty means the
 // canonical (unsampled) dataset only. Unknown keys on any filter flag
-// fail with the dimension's valid-key list.
+// fail the run (exit 1) with the dimension's valid-key list; a filter
+// value with no usable key at all (",") is a usage error and exits 2
+// with the usage text, like any other bad flag.
 //
 // -serve starts the resident sweep server instead of a one-shot run:
 // experiments are submitted as HTTP requests (GET /run/{experiment}
-// with the flag names above as query parameters) and stream back
-// newline-delimited JSON — progress events, then the report. Campaign
+// with the run flags above as query parameters) and stream back
+// newline-delimited JSON — progress events, then the report. The run
+// flags and the query parameters are one table (report.Spec.Bind), so
+// a request with no parameters runs exactly what xlmeasure runs with
+// no flags, seed 42 and -n 10000 included. Campaign
 // cells are memoized in a content-addressed cache, so overlapping
 // filtered sweeps submitted over the server's lifetime recompute only
 // cells no earlier request covered, byte-identical to cold runs.
@@ -102,30 +107,17 @@ func xlmain() int {
 	exp := flag.String("exp", "all", "experiment to regenerate (see -list)")
 	list := flag.Bool("list", false, "list the registered experiments and exit")
 	format := flag.String("format", "text", "output renderer: text|json|csv|md")
-	n := flag.Int("n", 10000, "sample cap per dataset; 0 = full paper-size populations, up to 1.58M (see DESIGN.md)")
-	seed := flag.Int64("seed", 42, "population seed")
-	parallel := flag.Int("parallel", 0, "shard workers; 0 = GOMAXPROCS (never changes results)")
-	shardSize := flag.Int("shard-size", 0, "population items per simulation shard; 0 = engine default")
-	sadPorts := flag.Int("sad-ports", 0, "resolver port span the end-to-end SadDNS runs scan; 0 = per-experiment default")
 	quiet := flag.Bool("quiet", false, "suppress per-dataset progress on stderr")
-	methods := flag.String("methods", "", "campaign: comma-separated method keys (empty = all)")
-	victims := flag.String("victims", "", "campaign: comma-separated victim keys (empty = all)")
-	profiles := flag.String("profiles", "", "campaign: comma-separated resolver profile keys (empty = all)")
-	defenses := flag.String("defenses", "", "campaign: comma-separated base-defense keys bounding the stacking lattice (empty = all)")
-	defenseSets := flag.String("defense-sets", "", "campaign: comma-separated exact defense stacks, e.g. 0x20+shuffle (overrides the lattice; empty = lattice)")
-	latticeRank := flag.Int("lattice-rank", 0, "campaign: max stacked defenses per set; 0 = default (singletons + pairs + full stack), 1 = scalar axis")
-	chainDepths := flag.String("chain-depths", "", "campaign: comma-separated forwarder-chain depths 0-3 (empty = all)")
-	placement := flag.String("placement", "", "campaign: comma-separated attacker placements stub,carrier (empty = all)")
-	trials := flag.Int("trials", 0, "campaign: attack trials per cell; 0 = default (3)")
-	transports := flag.String("transports", "", "campaign: comma-separated upstream transports udp,tcp,dot,doh,doq,mixed,opp (empty = all)")
-	deployments := flag.String("deployments", "", "campaign: comma-separated deployment datasets canonical,measured,hardened (empty = canonical only)")
-	downgrade := flag.Bool("downgrade", false, "campaign: run cells under active transport-downgrade pressure")
 	serveMode := flag.Bool("serve", false, "run the resident sweep server instead of a one-shot experiment")
 	addr := flag.String("addr", "127.0.0.1:8053", "serve: HTTP listen address")
 	checkpoint := flag.String("checkpoint", "", "serve: cell-cache checkpoint file (empty = no persistence)")
 	checkpointEvery := flag.Duration("checkpoint-every", 0, "serve: periodic checkpoint interval; 0 = default (30s)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file (see DESIGN.md: profiling the trial hot path)")
 	memprofile := flag.String("memprofile", "", "write an allocation (heap) profile to this file on exit")
+	// The run parameters come from the one table the server shares. A
+	// filter value with no usable key (",") is a usage error.
+	base := report.DefaultSpec()
+	base.Bind(flag.CommandLine)
 	flag.Parse()
 
 	if *cpuprofile != "" {
@@ -187,41 +179,6 @@ func xlmain() int {
 		return 0
 	}
 
-	// The filter flags parse once: empty means the full axis, and a
-	// value with no usable key (",") fails like an unknown key would.
-	base := crosslayer.ExperimentSpec{
-		SampleCap:   *n,
-		Seed:        *seed,
-		Parallelism: *parallel,
-		ShardSize:   *shardSize,
-		SadPorts:    *sadPorts,
-		Trials:      *trials,
-		LatticeRank: *latticeRank,
-		Downgrade:   *downgrade,
-	}
-	for _, f := range []struct {
-		name string
-		val  string
-		dst  *[]string
-	}{
-		{"methods", *methods, &base.Methods},
-		{"victims", *victims, &base.Victims},
-		{"profiles", *profiles, &base.Profiles},
-		{"defenses", *defenses, &base.Defenses},
-		{"defense-sets", *defenseSets, &base.DefenseSets},
-		{"chain-depths", *chainDepths, &base.ChainDepths},
-		{"placement", *placement, &base.Placements},
-		{"transports", *transports, &base.Transports},
-		{"deployments", *deployments, &base.Deployments},
-	} {
-		keys, err := report.SplitKeys(f.val)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "-%s: %v\n", f.name, err)
-			return 1
-		}
-		*f.dst = keys
-	}
-
 	// spec executes one experiment under the engine, labelling progress
 	// lines with the experiment name.
 	spec := func(experiment string) crosslayer.ExperimentSpec {
@@ -277,36 +234,16 @@ func xlmain() int {
 		fmt.Println(msg)
 		return 0
 	}
-	if !known(*exp) {
+	if _, ok := report.Get(*exp); !ok {
 		// Usage error, not run failure: print the registry's
 		// valid-key listing and exit 2 like every other bad flag.
-		fmt.Fprintf(os.Stderr, "unknown experiment %q (valid: %s)\n", *exp, strings.Join(registryNames(), ", "))
+		fmt.Fprintf(os.Stderr, "unknown experiment %q (valid: %s)\n", *exp, strings.Join(report.Names(), ", "))
 		return 2
 	}
 	if !run(*exp) {
 		return 1
 	}
 	return 0
-}
-
-// known reports whether name is a registered experiment.
-func known(name string) bool {
-	for _, e := range crosslayer.ListExperiments() {
-		if e.Name == name {
-			return true
-		}
-	}
-	return false
-}
-
-// registryNames returns the registered experiment names in canonical
-// order.
-func registryNames() []string {
-	var names []string
-	for _, e := range crosslayer.ListExperiments() {
-		names = append(names, e.Name)
-	}
-	return names
 }
 
 // progressPrinter renders per-dataset shard completions on stderr: a

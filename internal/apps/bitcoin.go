@@ -1,8 +1,8 @@
 package apps
 
 import (
-	"fmt"
 	"net/netip"
+	"strings"
 	"time"
 
 	"crosslayer/internal/dnswire"
@@ -94,19 +94,10 @@ func (bc *BitcoinClient) finish(tips map[string]int, cb func(Outcome)) {
 		cb(OutcomeDoS)
 		return
 	}
-	bc.AdoptedTip = trimPrefix(best, "tip=")
+	bc.AdoptedTip = strings.TrimPrefix(best, "tip=")
 	cb(OutcomeOK)
-}
-
-func trimPrefix(s, p string) string {
-	if len(s) >= len(p) && s[:len(p)] == p {
-		return s[len(p):]
-	}
-	return s
 }
 
 // Eclipsed reports whether the node's view of the chain matches the
 // attacker's fake tip.
 func (bc *BitcoinClient) Eclipsed(fakeTip string) bool { return bc.AdoptedTip == fakeTip }
-
-var _ = fmt.Sprintf // keep fmt for future diagnostics

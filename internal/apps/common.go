@@ -97,9 +97,6 @@ func lookupTXT(h *netsim.Host, resolverAddr netip.Addr, name string, cb func([]s
 		})
 }
 
-// hostsEqual treats addresses as the same service endpoint.
-func hostsEqual(a, b netip.Addr) bool { return a == b }
-
 // domainOf extracts the domain part of user@domain.
 func domainOf(address string) (string, error) {
 	i := strings.LastIndexByte(address, '@')

@@ -3,6 +3,7 @@ package apps
 import (
 	"fmt"
 	"net/netip"
+	"strings"
 	"time"
 
 	"crosslayer/internal/dnswire"
@@ -197,20 +198,11 @@ func parseIdent(resp []byte) (Identity, bool) {
 		if rest[i] == '/' {
 			subj := rest[:i]
 			iss := rest[i+1:]
-			if j := indexByte(iss, '\n'); j >= 0 {
+			if j := strings.IndexByte(iss, '\n'); j >= 0 {
 				iss = iss[:j]
 			}
 			return Identity{Subject: subj, Issuer: iss}, true
 		}
 	}
 	return Identity{}, false
-}
-
-func indexByte(s string, b byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == b {
-			return i
-		}
-	}
-	return -1
 }

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"errors"
 	"net/netip"
 	"time"
 
@@ -134,8 +135,4 @@ func (mb *Middlebox) HandleClientRequest(path string, cb func(FetchResult)) {
 	forward()
 }
 
-var errNoBackend = errNB{}
-
-type errNB struct{}
-
-func (errNB) Error() string { return "apps: middlebox has no resolved backend" }
+var errNoBackend = errors.New("apps: middlebox has no resolved backend")

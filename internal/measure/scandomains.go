@@ -48,10 +48,11 @@ type DomainFleet struct {
 	Prober  *netsim.Host
 	Prober2 *netsim.Host
 	Domains []*SimDomain
-	// BurstSize is the RRL probe volume (paper: 4000 queries/s; tests
-	// scale it down).
-	BurstSize int
 }
+
+// rrlBurst is the RRL probe volume. The paper bursts 4000 queries/s;
+// a tenth of that is four times the simulated limiters' 100 qps.
+const rrlBurst = 400
 
 func fleetNSAddr(i int) netip.Addr {
 	return netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 53})
@@ -76,9 +77,8 @@ func NewDomainFleetShard(spec DomainDatasetSpec, sh engine.Shard) *DomainFleet {
 
 	f := &DomainFleet{
 		Spec: spec, Shard: sh, Clock: clock, Net: net,
-		Prober:    net.AddHost("prober", fleetProbeAS, netip.MustParseAddr("192.0.2.10")),
-		Prober2:   net.AddHost("prober2", fleetProbeAS, netip.MustParseAddr("192.0.2.11")),
-		BurstSize: 400,
+		Prober:  net.AddHost("prober", fleetProbeAS, netip.MustParseAddr("192.0.2.10")),
+		Prober2: net.AddHost("prober2", fleetProbeAS, netip.MustParseAddr("192.0.2.11")),
 	}
 	net.AS(fleetProbeAS).EgressFiltering = false
 
@@ -225,14 +225,14 @@ func scanRateLimit(f *DomainFleet, d *SimDomain) bool {
 			got++
 		}
 	})
-	for i := 0; i < f.BurstSize; i++ {
+	for i := 0; i < rrlBurst; i++ {
 		f.Prober.SendUDP(port, d.NSHost.Addr, 53, wire)
 	}
 	f.Net.RunFor(4 * f.Net.Latency())
 	f.Prober.CloseUDP(port)
 	// "We consider a nameserver vulnerable if we can measure a
 	// reduction in responses after the burst."
-	return got < f.BurstSize
+	return got < rrlBurst
 }
 
 // scanPMTUD sends a spoofed PTB then a padded query and watches for

@@ -2,6 +2,7 @@ package report
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"sort"
 	"strings"
@@ -76,6 +77,57 @@ type Spec struct {
 	// pressure (opportunistic hops stripped to plaintext UDP before
 	// each trial's attack).
 	Downgrade bool
+}
+
+// DefaultSpec is the run configuration both front doors start from —
+// the xlmeasure command line and the server's /run query — before any
+// parameter is set: a 10,000-item sample cap per dataset and seed 42.
+func DefaultSpec() Spec { return Spec{SampleCap: 10000, Seed: 42} }
+
+// Bind registers every run parameter on fs under its CLI name, with
+// s's current values as the defaults. It is the one table of run
+// parameters: xlmeasure binds it to its command line, and the server
+// binds a fresh DefaultSpec per request and sets each query parameter
+// through it, so no parameter reaches one front door without the
+// other. Progress is not a parameter.
+func (s *Spec) Bind(fs *flag.FlagSet) {
+	fs.IntVar(&s.SampleCap, "n", s.SampleCap, "sample cap per dataset; 0 = full paper-size populations, up to 1.58M (see DESIGN.md)")
+	fs.Int64Var(&s.Seed, "seed", s.Seed, "population seed")
+	fs.IntVar(&s.Parallelism, "parallel", s.Parallelism, "shard workers; 0 = GOMAXPROCS (never changes results)")
+	fs.IntVar(&s.ShardSize, "shard-size", s.ShardSize, "population items per simulation shard; 0 = engine default")
+	fs.IntVar(&s.SadPorts, "sad-ports", s.SadPorts, "resolver port span the end-to-end SadDNS runs scan; 0 = per-experiment default")
+	fs.Var((*keyList)(&s.Methods), "methods", "campaign: comma-separated method keys (empty = all)")
+	fs.Var((*keyList)(&s.Victims), "victims", "campaign: comma-separated victim keys (empty = all)")
+	fs.Var((*keyList)(&s.Profiles), "profiles", "campaign: comma-separated resolver profile keys (empty = all)")
+	fs.Var((*keyList)(&s.Defenses), "defenses", "campaign: comma-separated base-defense keys bounding the stacking lattice (empty = all)")
+	fs.Var((*keyList)(&s.DefenseSets), "defense-sets", "campaign: comma-separated exact defense stacks, e.g. 0x20+shuffle (overrides the lattice; empty = lattice)")
+	fs.IntVar(&s.LatticeRank, "lattice-rank", s.LatticeRank, "campaign: max stacked defenses per set; 0 = default (singletons + pairs + full stack), 1 = scalar axis")
+	fs.Var((*keyList)(&s.ChainDepths), "chain-depths", "campaign: comma-separated forwarder-chain depths 0-3 (empty = all)")
+	fs.Var((*keyList)(&s.Placements), "placement", "campaign: comma-separated attacker placements stub,carrier (empty = all)")
+	fs.IntVar(&s.Trials, "trials", s.Trials, "campaign: attack trials per cell; 0 = default (3)")
+	fs.Var((*keyList)(&s.Transports), "transports", "campaign: comma-separated upstream transports udp,tcp,dot,doh,doq,mixed,opp (empty = all)")
+	fs.Var((*keyList)(&s.Deployments), "deployments", "campaign: comma-separated deployment datasets canonical,measured,hardened (empty = canonical only)")
+	fs.BoolVar(&s.Downgrade, "downgrade", s.Downgrade, "campaign: run cells under active transport-downgrade pressure")
+}
+
+// keyList is a sweep-dimension filter bound as a flag: Set parses
+// through SplitKeys, so a value with no usable key is a flag error.
+type keyList []string
+
+func (l *keyList) String() string {
+	if l == nil {
+		return ""
+	}
+	return strings.Join(*l, ",")
+}
+
+func (l *keyList) Set(v string) error {
+	keys, err := SplitKeys(v)
+	if err != nil {
+		return err
+	}
+	*l = keys
+	return nil
 }
 
 // SplitKeys parses a comma-separated sweep-dimension filter, as the

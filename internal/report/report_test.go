@@ -3,7 +3,10 @@ package report
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -313,4 +316,103 @@ func TestSplitKeys(t *testing.T) {
 			t.Fatalf("SplitKeys(%q) = %q, want an error", in, keys)
 		}
 	}
+}
+
+// TestBindCoversSpec pins the one run-parameter table: every exported
+// Spec field but Progress is reached by exactly one bound flag, and
+// every flag reaches exactly one field, so a new field cannot reach one
+// front door (the CLI, the server's query) without the other.
+func TestBindCoversSpec(t *testing.T) {
+	var names []string
+	var spec Spec
+	all := flag.NewFlagSet("spec", flag.ContinueOnError)
+	spec.Bind(all)
+	all.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+
+	reached := map[string][]string{}
+	for _, name := range names {
+		var s Spec
+		fs := flag.NewFlagSet("spec", flag.ContinueOnError)
+		s.Bind(fs)
+		val := "7"
+		if b, ok := fs.Lookup(name).Value.(interface{ IsBoolFlag() bool }); ok && b.IsBoolFlag() {
+			val = "true"
+		}
+		if err := fs.Set(name, val); err != nil {
+			t.Fatalf("-%s=%s: %v", name, val, err)
+		}
+		v := reflect.ValueOf(s)
+		var fields []string
+		for i := 0; i < v.NumField(); i++ {
+			if !v.Field(i).IsZero() {
+				fields = append(fields, v.Type().Field(i).Name)
+			}
+		}
+		if len(fields) != 1 {
+			t.Errorf("-%s sets fields %v, want exactly one", name, fields)
+		}
+		for _, f := range fields {
+			reached[f] = append(reached[f], name)
+		}
+	}
+
+	typ := reflect.TypeOf(Spec{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if !f.IsExported() {
+			continue
+		}
+		want := 1
+		if f.Name == "Progress" {
+			want = 0
+		}
+		if got := reached[f.Name]; len(got) != want {
+			t.Errorf("Spec.%s is reached by flags %v, want %d", f.Name, got, want)
+		}
+	}
+}
+
+// FuzzSpecParams sets an arbitrary (name, value) pair on a bound flag
+// table, as a /run query parameter or a command-line flag would. It
+// must never panic; an accepted list value holds only trimmed,
+// non-empty keys with no comma; and setting the flag again from its
+// String() reproduces the same Spec.
+func FuzzSpecParams(f *testing.F) {
+	for _, p := range [][2]string{
+		{"seed", "11"}, {"trials", "2"}, {"lattice-rank", "1"}, {"parallel", "4"},
+		{"methods", "hijack"}, {"victims", "web,smtp"}, {"profiles", "bind,dnsmasq"},
+		{"chain-depths", "0"}, {"placement", "stub"}, {"downgrade", "true"},
+		{"transports", " "}, {"profiles", ", ,"},
+		{"trials", "bogus"}, {"methods", ","}, {"typo", "1"},
+	} {
+		f.Add(p[0], p[1])
+	}
+	bind := func() (*Spec, *flag.FlagSet) {
+		s := DefaultSpec()
+		fs := flag.NewFlagSet("fuzz", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		s.Bind(fs)
+		return &s, fs
+	}
+	f.Fuzz(func(t *testing.T, name, value string) {
+		spec, fs := bind()
+		if fs.Set(name, value) != nil {
+			return
+		}
+		fl := fs.Lookup(name)
+		if keys, ok := fl.Value.(*keyList); ok {
+			for _, k := range *keys {
+				if k == "" || k != strings.TrimSpace(k) || strings.Contains(k, ",") {
+					t.Fatalf("-%s=%q accepted key %q", name, value, k)
+				}
+			}
+		}
+		again, fs2 := bind()
+		if err := fs2.Set(name, fl.Value.String()); err != nil {
+			t.Fatalf("-%s=%q: setting it again from %q: %v", name, value, fl.Value.String(), err)
+		}
+		if !reflect.DeepEqual(spec, again) {
+			t.Fatalf("-%s=%q: %+v, but from its String %q: %+v", name, value, *spec, fl.Value.String(), *again)
+		}
+	})
 }

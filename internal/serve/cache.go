@@ -22,9 +22,10 @@ type cellCache struct {
 	hits   uint64
 	misses uint64
 	stores uint64
-	// dirty is set by Store and cleared by snapshot(flush=true): the
-	// checkpoint writer skips the disk write when nothing changed.
-	dirty bool
+	// saved is the stores count the last committed checkpoint (or the
+	// load) covers: the cache is dirty while stores != saved, and the
+	// checkpoint writer skips the disk write when it is clean.
+	saved uint64
 }
 
 func newCellCache() *cellCache {
@@ -48,7 +49,6 @@ func (c *cellCache) Store(key string, r campaign.CellResult) {
 	defer c.mu.Unlock()
 	c.cells[key] = r
 	c.stores++
-	c.dirty = true
 }
 
 // CacheStats is the cache-counter snapshot the /cache endpoint and the
@@ -66,24 +66,29 @@ func (c *cellCache) stats() CacheStats {
 	return CacheStats{Cells: len(c.cells), Hits: c.hits, Misses: c.misses, Stores: c.stores}
 }
 
-// snapshot copies the cell map for checkpointing. With flush set it
-// also clears the dirty flag — the caller is committing the copy to
-// disk. nil (with clean=true) means nothing changed since the last
-// flush and the write can be skipped.
-func (c *cellCache) snapshot(flush bool) (cells map[string]campaign.CellResult, clean bool) {
+// snapshot copies the cell map for checkpointing, with the stores
+// count the copy covers. clean means nothing changed since the last
+// commit and the write can be skipped.
+func (c *cellCache) snapshot() (cells map[string]campaign.CellResult, stores uint64, clean bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.dirty {
-		return nil, true
+	if c.stores == c.saved {
+		return nil, c.stores, true
 	}
 	cells = make(map[string]campaign.CellResult, len(c.cells))
 	for k, v := range c.cells {
 		cells[k] = v
 	}
-	if flush {
-		c.dirty = false
-	}
-	return cells, false
+	return cells, c.stores, false
+}
+
+// committed records that the snapshot taken at stores is on disk. A
+// Store since that snapshot keeps the cache dirty, and so does a write
+// that failed (it never commits), so the next save retries.
+func (c *cellCache) committed(stores uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.saved = stores
 }
 
 // load replaces the cache contents with a checkpoint's cells. Loaded
@@ -96,5 +101,5 @@ func (c *cellCache) load(cells map[string]campaign.CellResult) {
 	for k, v := range cells {
 		c.cells[k] = v
 	}
-	c.dirty = false
+	c.saved = c.stores
 }

@@ -97,15 +97,16 @@ func checkCell(c campaign.CellResult) error {
 	return nil
 }
 
-// saveCheckpoint snapshots the cache to path atomically (write to a
-// temp file in the same directory, then rename), so a crash mid-write
-// never truncates the previous good checkpoint. A clean cache skips
-// the write entirely.
+// saveCheckpoint snapshots the cache to path atomically (write and
+// fsync a temp file in the same directory, then rename), so a crash
+// mid-write never truncates the previous good checkpoint. A clean cache
+// skips the write entirely; the cache turns clean only once the rename
+// has landed, so a failed write is retried by the next save.
 func (s *Server) saveCheckpoint() error {
 	if s.cfg.CheckpointPath == "" {
 		return nil
 	}
-	cells, clean := s.cache.snapshot(true)
+	cells, stores, clean := s.cache.snapshot()
 	if clean {
 		return nil
 	}
@@ -119,6 +120,9 @@ func (s *Server) saveCheckpoint() error {
 		return fmt.Errorf("serve: save checkpoint: %w", err)
 	}
 	_, werr := tmp.Write(data)
+	if werr == nil {
+		werr = tmp.Sync()
+	}
 	cerr := tmp.Close()
 	if werr == nil {
 		werr = cerr
@@ -130,5 +134,6 @@ func (s *Server) saveCheckpoint() error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("serve: save checkpoint: %w", werr)
 	}
+	s.cache.committed(stores)
 	return nil
 }

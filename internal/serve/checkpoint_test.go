@@ -89,3 +89,33 @@ func TestLoadCheckpointRejectsMalformedCells(t *testing.T) {
 		t.Fatalf("well-formed checkpoint loaded %d cells, want 1", n)
 	}
 }
+
+// TestSaveCheckpointRetriesFailedWrite: a save that fails (here, into a
+// directory that does not exist yet) leaves the cache dirty, so the
+// next save writes the cells instead of skipping a cache it wrongly
+// thinks is on disk.
+func TestSaveCheckpointRetriesFailedWrite(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "later")
+	path := filepath.Join(dir, "checkpoint.json")
+	s := New(Config{CheckpointPath: path})
+	s.cache.Store("1/2/a", wellFormedCell())
+	if err := s.saveCheckpoint(); err == nil {
+		t.Fatal("save into a missing directory succeeded")
+	}
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.saveCheckpoint(); err != nil {
+		t.Fatalf("retried save: %v", err)
+	}
+	resumed := New(Config{CheckpointPath: path})
+	if err := resumed.loadCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if n := resumed.cache.stats().Cells; n != 1 {
+		t.Fatalf("retried save wrote %d cells, want 1", n)
+	}
+	if _, _, clean := s.cache.snapshot(); !clean {
+		t.Fatal("cache still dirty after a committed save")
+	}
+}

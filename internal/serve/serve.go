@@ -22,13 +22,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"crosslayer/internal/campaign"
@@ -121,9 +123,12 @@ type streamEvent struct {
 // Run serves until ctx is cancelled, then shuts down in order: stop
 // accepting requests, let the runner drain the job queue (the
 // in-flight sweep aborts at its next cell boundary, queued jobs get
-// terminal error events), and write the final checkpoint. This is the
-// signal path: xlmeasure -serve wires its NotifyContext here, so an
-// interrupted server persists every cell completed before the signal.
+// terminal error events, the periodic checkpoint loop finishes any
+// save in flight), and write the final checkpoint as the last write.
+// This is the signal path: xlmeasure -serve wires its NotifyContext
+// here, so an interrupted server persists every cell completed before
+// the signal. A listener failure takes the same path and returns its
+// error together with any flush error.
 func (s *Server) Run(ctx context.Context) error {
 	if s.cfg.CheckpointPath != "" {
 		if err := s.loadCheckpoint(); err != nil {
@@ -144,18 +149,26 @@ func (s *Server) Run(ctx context.Context) error {
 	close(s.ready)
 	s.logf("listening on %s", s.addr)
 
-	runnerDone := make(chan struct{})
+	// stop ends the runner and the checkpoint loop on a listener
+	// failure as the caller's cancellation does on shutdown.
+	ctx, stop := context.WithCancel(ctx)
+	defer stop()
+	var wg sync.WaitGroup
+	wg.Add(1)
 	go func() {
-		defer close(runnerDone)
+		defer wg.Done()
 		s.runner(ctx)
 	}()
-
 	if s.cfg.CheckpointPath != "" {
 		every := s.cfg.CheckpointEvery
 		if every <= 0 {
 			every = DefaultCheckpointEvery
 		}
-		go s.checkpointLoop(ctx, every)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.checkpointLoop(ctx, every)
+		}()
 	}
 
 	httpSrv := &http.Server{Handler: s.handler(ctx)}
@@ -164,26 +177,27 @@ func (s *Server) Run(ctx context.Context) error {
 
 	select {
 	case <-ctx.Done():
-	case err := <-serveErr:
-		// Listener failure, not shutdown: still flush what we have.
-		s.saveCheckpoint()
-		return fmt.Errorf("serve: %w", err)
+	case err = <-serveErr:
+		err = fmt.Errorf("serve: %w", err)
+		stop()
 	}
 
-	// Drain: the runner fails queued jobs and exits; streaming handlers
-	// finish writing their terminal events; then Shutdown closes idle
-	// connections and the final checkpoint commits every stored cell.
-	<-runnerDone
+	// Drain: the runner fails queued jobs and exits, and the checkpoint
+	// loop finishes any save in flight, so the final flush is the last
+	// write; streaming handlers finish writing their terminal events;
+	// then Shutdown closes idle connections and the final checkpoint
+	// commits every stored cell.
+	wg.Wait()
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	httpSrv.Shutdown(shutdownCtx)
-	if err := s.saveCheckpoint(); err != nil {
-		return err
+	if ferr := s.saveCheckpoint(); ferr != nil {
+		return errors.Join(err, ferr)
 	}
 	if s.cfg.CheckpointPath != "" {
 		s.logf("checkpoint: final flush, %d cells in %s", s.cache.stats().Cells, s.cfg.CheckpointPath)
 	}
-	return nil
+	return err
 }
 
 // runner executes queued jobs one at a time until ctx is cancelled,
@@ -399,65 +413,25 @@ func (e *eventEncoder) encode(ev *streamEvent) ([]byte, error) {
 	return e.buf.Bytes(), nil
 }
 
-// specFromQuery maps /run query parameters onto the registry Spec,
-// mirroring the xlmeasure flags: n, seed, parallel, shard-size,
-// sad-ports, trials, lattice-rank (integers), methods, victims,
-// profiles, defenses, defense-sets, chain-depths, placement,
-// transports (comma-separated keys, parsed by report.SplitKeys) and
-// downgrade (boolean). Unknown parameters, and list values with no
-// usable key, are rejected so typos fail loudly instead of silently
-// sweeping the full axis.
+// specFromQuery maps /run query parameters onto the registry Spec
+// through report.Spec.Bind — the xlmeasure flag table, defaults
+// included — on a fresh FlagSet per request. The last value of a
+// repeated parameter wins. Unknown parameters, and values the flag
+// rejects (a list with no usable key among them), fail naming the
+// parameter, so typos fail loudly instead of silently sweeping the
+// full axis.
 func specFromQuery(r *http.Request) (report.Spec, error) {
-	var spec report.Spec
-	spec.SampleCap = 10000 // the CLI's default cap; n=0 opts into full populations
-	ints := map[string]*int{
-		"n":            &spec.SampleCap,
-		"parallel":     &spec.Parallelism,
-		"shard-size":   &spec.ShardSize,
-		"sad-ports":    &spec.SadPorts,
-		"trials":       &spec.Trials,
-		"lattice-rank": &spec.LatticeRank,
-	}
-	lists := map[string]*[]string{
-		"methods":      &spec.Methods,
-		"victims":      &spec.Victims,
-		"profiles":     &spec.Profiles,
-		"defenses":     &spec.Defenses,
-		"defense-sets": &spec.DefenseSets,
-		"chain-depths": &spec.ChainDepths,
-		"placement":    &spec.Placements,
-		"transports":   &spec.Transports,
-		"deployments":  &spec.Deployments,
-	}
+	spec := report.DefaultSpec()
+	fs := flag.NewFlagSet("run", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	spec.Bind(fs)
 	for key, vals := range r.URL.Query() {
-		val := vals[len(vals)-1]
-		switch {
-		case key == "downgrade":
-			v, err := strconv.ParseBool(val)
-			if err != nil {
-				return spec, fmt.Errorf("bad downgrade %q", val)
-			}
-			spec.Downgrade = v
-		case key == "seed":
-			v, err := strconv.ParseInt(val, 10, 64)
-			if err != nil {
-				return spec, fmt.Errorf("bad seed %q", val)
-			}
-			spec.Seed = v
-		case ints[key] != nil:
-			v, err := strconv.Atoi(val)
-			if err != nil {
-				return spec, fmt.Errorf("bad %s %q", key, val)
-			}
-			*ints[key] = v
-		case lists[key] != nil:
-			keys, err := report.SplitKeys(val)
-			if err != nil {
-				return spec, fmt.Errorf("bad %s: %w", key, err)
-			}
-			*lists[key] = keys
-		default:
+		if fs.Lookup(key) == nil {
 			return spec, fmt.Errorf("unknown parameter %q", key)
+		}
+		val := vals[len(vals)-1]
+		if err := fs.Set(key, val); err != nil {
+			return spec, fmt.Errorf("bad %s %q: %v", key, val, err)
 		}
 	}
 	return spec, nil

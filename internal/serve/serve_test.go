@@ -5,8 +5,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -238,9 +242,31 @@ func TestServeCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestServeShutdownFlushesMidQueueCheckpoint: cells stored before a
-// cancellation survive to the checkpoint even though the sweep itself
-// failed — the resume path recomputes only what never ran.
+// TestServeCheckpointLoopFinalFlushIsLast: with the periodic writer
+// saving every millisecond while a sweep stores cells, the file left
+// after shutdown holds every cell the cache holds: Run joins the writer
+// before the final flush, so no save still in flight renames an older
+// snapshot over it.
+func TestServeCheckpointLoopFinalFlushIsLast(t *testing.T) {
+	cp := filepath.Join(t.TempDir(), "checkpoint.json")
+	s, cancel, done := startServer(t, Config{CheckpointPath: cp, CheckpointEvery: time.Millisecond})
+	runSweep(t, s.Addr(), "/run/campaign?"+sweepQuery+"&parallel=2")
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("server shutdown: %v", err)
+	}
+	resumed := New(Config{CheckpointPath: cp})
+	if err := resumed.loadCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := resumed.cache.stats().Cells, s.cache.stats().Cells; got != want || want == 0 {
+		t.Fatalf("checkpoint holds %d cells, the cache %d", got, want)
+	}
+}
+
+// TestServeCheckpointSkipsCleanRewrite: a server that loads a
+// checkpoint and computes nothing new leaves its cache clean, so it
+// never rewrites the file.
 func TestServeCheckpointSkipsCleanRewrite(t *testing.T) {
 	cp := filepath.Join(t.TempDir(), "checkpoint.json")
 
@@ -258,7 +284,7 @@ func TestServeCheckpointSkipsCleanRewrite(t *testing.T) {
 	if warm.misses != 0 {
 		t.Fatalf("warm restart recomputed %d cells", warm.misses)
 	}
-	cells, clean := s2.cache.snapshot(false)
+	cells, _, clean := s2.cache.snapshot()
 	if !clean || cells != nil {
 		t.Fatal("cache dirty after an all-hits sweep; clean restarts would rewrite checkpoints forever")
 	}
@@ -305,20 +331,46 @@ func TestServeEndpoints(t *testing.T) {
 		t.Fatalf("cold server reports %d cached cells", stats.Cells)
 	}
 
-	for path, want := range map[string]int{
-		"/run/no-such-experiment":    http.StatusNotFound,
-		"/run/campaign?trials=bogus": http.StatusBadRequest,
-		"/run/campaign?typo=1":       http.StatusBadRequest,
-		"/run/":                      http.StatusNotFound,
+	// Each failure names what was wrong: the experiment, or the query
+	// parameter a 400 refuses.
+	for _, tc := range []struct {
+		path, names string
+		want        int
+	}{
+		{"/run/no-such-experiment", "no-such-experiment", http.StatusNotFound},
+		{"/run/campaign?trials=bogus", "trials", http.StatusBadRequest},
+		{"/run/campaign?typo=1", "typo", http.StatusBadRequest},
+		{"/run/campaign?methods=,", "methods", http.StatusBadRequest},
+		{"/run/", "/run/{experiment}", http.StatusNotFound},
 	} {
-		resp, err := http.Get("http://" + s.Addr() + path)
+		resp, err := http.Get("http://" + s.Addr() + tc.path)
 		if err != nil {
 			t.Fatal(err)
 		}
+		body, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != want {
-			t.Errorf("GET %s: status %d, want %d", path, resp.StatusCode, want)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if resp.StatusCode != tc.want {
+			t.Errorf("GET %s: status %d, want %d", tc.path, resp.StatusCode, tc.want)
+		}
+		if !strings.Contains(string(body), tc.names) {
+			t.Errorf("GET %s: body %q does not name %q", tc.path, body, tc.names)
+		}
+	}
+}
+
+// TestServeDefaultsMatchCLI: a /run request with no query parameters
+// runs exactly the spec xlmeasure runs with no flags, so one request
+// draws the same population through either front door.
+func TestServeDefaultsMatchCLI(t *testing.T) {
+	spec, err := specFromQuery(httptest.NewRequest(http.MethodGet, "/run/table5", nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := report.DefaultSpec(); !reflect.DeepEqual(spec, want) {
+		t.Fatalf("empty query yields %+v, want the CLI defaults %+v", spec, want)
 	}
 }
 
