@@ -1,6 +1,7 @@
 package dnssrv_test
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -94,6 +95,45 @@ func TestANYReturnsAllTypesAddressLast(t *testing.T) {
 	}
 	if got.Answers[len(got.Answers)-1].Type != dnswire.TypeA {
 		t.Fatalf("A record not last in ANY response: last=%v", got.Answers[len(got.Answers)-1].Type)
+	}
+}
+
+// TestANYOrderIsFixed pins the ANY layout. MX, SRV and NAPTR share a
+// rank, and RRsets come out of a map, so only a total order (ties
+// broken by type code) keeps lookups, and the replies of two worlds
+// built from one seed, identical.
+func TestANYOrderIsFixed(t *testing.T) {
+	z := scenario.BuildVictimZone(false)
+	first, _ := z.Lookup("vict.im.", dnswire.TypeANY)
+	for i := 0; i < 64; i++ {
+		rrs, _ := z.Lookup("vict.im.", dnswire.TypeANY)
+		for j := range rrs {
+			if rrs[j] != first[j] {
+				t.Fatalf("lookup %d: answer %d is %v, first lookup had %v", i, j, rrs[j].Type, first[j].Type)
+			}
+		}
+	}
+	replies := func() [][]byte {
+		s := scenario.New(scenario.Config{Seed: 5})
+		var got [][]byte
+		s.Attacker.BindUDP(40000, func(dg netsim.Datagram) { got = append(got, bytes.Clone(dg.Payload)) })
+		q := dnswire.NewQuery(9, "vict.im.", dnswire.TypeANY)
+		q.SetEDNS(4096, false)
+		wire, _ := q.Pack()
+		for i := 0; i < 16; i++ {
+			s.Attacker.SendUDP(40000, scenario.NSIP, 53, wire)
+			s.Run()
+		}
+		return got
+	}
+	a, b := replies(), replies()
+	if len(a) != 16 || len(b) != 16 {
+		t.Fatalf("replies: %d and %d, want 16 each", len(a), len(b))
+	}
+	for i := range a {
+		if !bytes.Equal(a[i], b[i]) {
+			t.Fatalf("ANY reply %d differs between two seed-5 worlds", i)
+		}
 	}
 }
 

@@ -48,10 +48,15 @@ type Server struct {
 	sentInWin int
 
 	// scratch is the wire-format buffer reused across UDP responses
-	// (and pad's trial packs). Safe because SendUDP serializes the
+	// (and fill's trial packs). Safe because SendUDP serializes the
 	// payload into its own pooled buffer before returning; handleTCP
 	// must NOT use it — its return value is retained by the caller.
 	scratch []byte
+	// fillers are the filler records built so far for the last owner
+	// name padded, fillerOwner; padRRs is fill's answer section.
+	fillerOwner string
+	fillers     []*dnswire.RR
+	padRRs      []*dnswire.RR
 
 	// Counters.
 	Queries, Responses, RateDropped, Truncated uint64
@@ -171,27 +176,29 @@ func (s *Server) handle(dg netsim.Datagram) {
 		s.RateDropped++
 		return
 	}
-	resp := s.BuildResponse(query)
-	wire, err := resp.AppendPack(s.scratch[:0])
-	if err != nil {
-		return
-	}
-	s.scratch = wire
 	// EDNS truncation: if the client advertised a buffer smaller than
 	// the response, set TC and cut to the advertised size (or 512).
 	limit := 512
 	if sz, _, ok := query.EDNS(); ok {
 		limit = int(sz)
 	}
-	if len(wire) > limit {
+	resp, truncate := s.respond(query, limit)
+	var wire []byte
+	if !truncate {
+		if wire, err = resp.AppendPack(s.scratch[:0]); err != nil {
+			return
+		}
+		s.scratch = wire
+		truncate = len(wire) > limit
+	}
+	if truncate {
 		s.Truncated++
 		tr := &dnswire.Message{
 			ID: resp.ID, Response: true, Authoritative: resp.Authoritative,
 			Truncated: true, RecursionDesired: resp.RecursionDesired,
 			RCode: resp.RCode, Questions: resp.Questions,
 		}
-		wire, err = tr.AppendPack(s.scratch[:0])
-		if err != nil {
+		if wire, err = tr.AppendPack(s.scratch[:0]); err != nil {
 			return
 		}
 		s.scratch = wire
@@ -215,8 +222,20 @@ func (s *Server) allowResponse() bool {
 // exported so the FragDNS attacker can predict the exact bytes the
 // server will emit (the attacker queries public zone data itself).
 func (s *Server) BuildResponse(query *dnswire.Message) *dnswire.Message {
+	resp, _ := s.respond(query, 0)
+	return resp
+}
+
+// respond is BuildResponse for a client that accepts at most limit
+// bytes (0: any size). A padded answer already known to exceed limit
+// is never laid out, signed or packed: respond returns the bare header
+// and truncate set. Signing only appends records and a padded answer's
+// length does not depend on its order (see fill), so such an answer
+// could only have been cut to a TC reply. The order shuffle is drawn
+// all the same, so the host stream advances as if it had been built.
+func (s *Server) respond(query *dnswire.Message, limit int) (resp *dnswire.Message, truncate bool) {
 	q := query.Question()
-	resp := &dnswire.Message{
+	resp = &dnswire.Message{
 		ID: query.ID, Response: true, Authoritative: true,
 		RecursionDesired: query.RecursionDesired,
 		Questions:        query.Questions, // echo, preserving 0x20 case
@@ -227,12 +246,12 @@ func (s *Server) BuildResponse(query *dnswire.Message) *dnswire.Message {
 	zone := s.Zone(q.Name)
 	if zone == nil {
 		resp.RCode = dnswire.RCodeRefused
-		return resp
+		return resp, false
 	}
 	if q.Type == dnswire.TypeANY && !s.Cfg.ServeANY {
 		// Unbound-style minimal ANY refusal (RFC 8482).
 		resp.Answers = append(resp.Answers, dnswire.NewTXT(q.Name, 3600, "RFC8482"))
-		return resp
+		return resp, false
 	}
 	answers, exists := zone.Lookup(q.Name, q.Type)
 	if len(answers) == 0 {
@@ -242,59 +261,101 @@ func (s *Server) BuildResponse(query *dnswire.Message) *dnswire.Message {
 		if soa := zone.SOA(); soa != nil {
 			resp.Authority = append(resp.Authority, soa)
 		}
-		return resp
+		return resp, false
+	}
+	// Layout: filler first, then the zone's records (one RRset, or ANY
+	// in Lookup's order, address records last), so the genuine records
+	// sit in the final fragment with A records at the tail: the layout
+	// FragDNS wants to overwrite.
+	fillers := 0
+	if s.Cfg.PadAnswersTo > 0 {
+		var size int
+		fillers, size = s.fill(resp, answers, q.Name)
+		if limit > 0 && size > limit {
+			if s.Cfg.RandomizeOrder {
+				s.Host.Rand().Shuffle(fillers+len(answers), func(int, int) {})
+			}
+			resp.Answers = nil
+			return resp, true
+		}
+	}
+	resp.Answers = make([]*dnswire.RR, fillers, fillers+len(answers))
+	for i := range fillers {
+		resp.Answers[i] = s.filler(fillers - 1 - i)
 	}
 	resp.Answers = append(resp.Answers, answers...)
-	if s.Cfg.PadAnswersTo > 0 {
-		s.pad(resp, q.Name)
-	}
 	if s.Cfg.RandomizeOrder {
 		rng := s.Host.Rand()
 		rng.Shuffle(len(resp.Answers), func(i, j int) {
 			resp.Answers[i], resp.Answers[j] = resp.Answers[j], resp.Answers[i]
 		})
-	} else {
-		// Deterministic layout: filler/text first, address records
-		// last (see Zone.Lookup). Stable-sort answers so A records
-		// land at the tail of the packet for non-ANY lookups too.
-		stableByOrder(resp.Answers)
 	}
 	if zone.Signed {
 		s.sign(resp, zone)
 	}
-	return resp
+	return resp, false
 }
 
-// pad inserts filler TXT answer records owned by a sibling label until
-// the packed size reaches the configured floor. Filler is placed at
-// the FRONT of the answer section so genuine records sit in the final
-// fragment (the layout FragDNS wants to overwrite).
-func (s *Server) pad(resp *dnswire.Message, qname string) {
-	fillerName := "filler." + strings.TrimPrefix(dnswire.CanonicalName(qname), "filler.")
+// maxFillers caps the filler records one response carries.
+const maxFillers = 64
+
+// fillerText holds the text of each filler: a 194-byte run and a
+// distinct serial, so that answer-order randomisation genuinely changes
+// the response bytes (and so defeats FragDNS checksum prediction, §6.1).
+var fillerText = func() (t [maxFillers]string) {
 	chunk := strings.Repeat("x", 194)
-	for i := 0; i < 64; i++ {
-		// Only the packed length matters here; packing into the shared
-		// scratch avoids one full-response allocation per probe.
+	for i := range t {
+		t[i] = fmt.Sprintf("%s%06d", chunk, i)
+	}
+	return t
+}()
+
+// fill counts the filler TXT answer records, owned by a sibling label
+// of qname, that bring the packed response with answers up to the
+// configured floor (at most maxFillers), and returns the count with
+// the padded length before ordering and signing. Only owner names are
+// compressed, and every padded answer is owned by qname or by the
+// filler name, so every filler after the first adds the same number of
+// bytes, wherever it sits: three packs (zero, one and two fillers)
+// give the length at any count. resp.Answers is left pointing at the
+// server's scratch; the caller lays out the real answer section.
+func (s *Server) fill(resp *dnswire.Message, answers []*dnswire.RR, qname string) (n, size int) {
+	base := strings.TrimPrefix(dnswire.CanonicalName(qname), "filler.")
+	if s.fillerOwner == "" || s.fillerOwner[len("filler."):] != base {
+		s.fillerOwner, s.fillers = "filler."+base, s.fillers[:0]
+	}
+	// The packs see the answer section as respond lays it out: filler
+	// n−1 … filler 0, then answers. A response that does not pack is
+	// left to fail where it is sent.
+	s.padRRs = append(append(s.padRRs[:0], nil, nil), answers...)
+	var lens [3]int
+	for n = 0; n <= 2; n++ {
+		resp.Answers = s.padRRs[2-n:]
 		wire, err := resp.AppendPack(s.scratch[:0])
-		if err != nil || len(wire) >= s.Cfg.PadAnswersTo {
-			return
+		if err != nil {
+			return n, 0
 		}
 		s.scratch = wire
-		// Each filler carries a distinct serial so that answer-order
-		// randomisation genuinely changes the response bytes (and so
-		// defeats FragDNS checksum prediction, §6.1).
-		filler := dnswire.NewTXT(fillerName, 300, fmt.Sprintf("%s%06d", chunk, i))
-		resp.Answers = append([]*dnswire.RR{filler}, resp.Answers...)
-	}
-}
-
-func stableByOrder(rrs []*dnswire.RR) {
-	// insertion sort by anyOrder (stable, tiny slices)
-	for i := 1; i < len(rrs); i++ {
-		for j := i; j > 0 && anyOrder(rrs[j].Type) < anyOrder(rrs[j-1].Type); j-- {
-			rrs[j], rrs[j-1] = rrs[j-1], rrs[j]
+		if lens[n] = len(wire); lens[n] >= s.Cfg.PadAnswersTo {
+			return n, lens[n]
+		}
+		if n < 2 {
+			s.padRRs[1-n] = s.filler(n)
 		}
 	}
+	per := lens[2] - lens[1]
+	n = min(maxFillers, 2+(s.Cfg.PadAnswersTo-lens[2]+per-1)/per)
+	return n, lens[2] + (n-2)*per
+}
+
+// filler returns filler i of the current owner, building the fillers
+// up to it on first use. Records are shared by every response that
+// carries them, as zone records are.
+func (s *Server) filler(i int) *dnswire.RR {
+	for len(s.fillers) <= i {
+		s.fillers = append(s.fillers, dnswire.NewTXT(s.fillerOwner, 300, fillerText[len(s.fillers)]))
+	}
+	return s.fillers[i]
 }
 
 // sign appends RRSIG markers covering each answer RRset type.

@@ -78,7 +78,14 @@ func (z *Zone) Lookup(name string, typ dnswire.Type) (answers []*dnswire.RR, exi
 				keys = append(keys, k)
 			}
 		}
-		sort.Slice(keys, func(i, j int) bool { return anyOrder(keys[i].typ) < anyOrder(keys[j].typ) })
+		// Ties in anyOrder (MX, SRV, NAPTR) break by type code: the
+		// keys come out of a map, so the order must be total.
+		sort.Slice(keys, func(i, j int) bool {
+			if oi, oj := anyOrder(keys[i].typ), anyOrder(keys[j].typ); oi != oj {
+				return oi < oj
+			}
+			return keys[i].typ < keys[j].typ
+		})
 		for _, k := range keys {
 			answers = append(answers, z.rrsets[k]...)
 		}

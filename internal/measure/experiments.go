@@ -126,11 +126,10 @@ func runSameHijack(ctx context.Context, spec report.Spec) (*report.Report, error
 // three stages are not shard jobs, so cancellation is honoured
 // between them.
 func runForwarders(ctx context.Context, spec report.Spec) (*report.Report, error) {
-	n := spec.SampleCap
-	if n <= 0 {
-		n = 10000
+	if spec.SampleCap <= 0 {
+		spec.SampleCap = 10000 // so the report records the size the study ran at
 	}
-	reach, shared := ForwarderStudy(n, spec.Seed)
+	reach, shared := ForwarderStudy(spec.SampleCap, spec.Seed)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

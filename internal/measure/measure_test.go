@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"crosslayer/internal/engine"
+	"crosslayer/internal/report"
 )
 
 // TestScannersRecoverGroundTruth validates the heart of the §5
@@ -255,4 +256,22 @@ func TestForwarderStudyBands(t *testing.T) {
 	if !VerifyForwarderPath(11) {
 		t.Error("dynamic forwarder path verification failed")
 	}
+}
+
+// TestForwardersRecordsSampleCap: with no cap the forwarder study runs
+// 10,000 items, and its report must record the cap it ran at.
+func TestForwardersRecordsSampleCap(t *testing.T) {
+	rep, err := report.Run(context.Background(), "forwarders", report.Spec{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range rep.Params {
+		if p.Name == "sample_cap" {
+			if p.Value != "10000" {
+				t.Fatalf("sample_cap %s, want 10000", p.Value)
+			}
+			return
+		}
+	}
+	t.Fatalf("no sample_cap param in %v", rep.Params)
 }

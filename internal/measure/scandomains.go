@@ -213,21 +213,20 @@ func ScanDomainFleet(f *DomainFleet) DomainScanResult {
 }
 
 // scanRateLimit is the 4000-query burst test: blast queries within one
-// second and check whether responses are suppressed.
+// second and check whether responses are suppressed. The burst is one
+// train, so its DNS IDs run 0…rrlBurst−1; replies are counted by source.
 func scanRateLimit(f *DomainFleet, d *SimDomain) bool {
 	// Fresh second so the server's RRL window is clean.
 	f.Clock.RunUntil((f.Clock.Now()/time.Second + 1) * time.Second)
 	got := 0
-	q := dnswire.NewQuery(9, d.Name, dnswire.TypeA)
+	q := dnswire.NewQuery(0, d.Name, dnswire.TypeA)
 	wire, _ := q.Pack()
 	port := f.Prober.BindUDP(0, func(dg netsim.Datagram) {
 		if dg.Src == d.NSHost.Addr {
 			got++
 		}
 	})
-	for i := 0; i < rrlBurst; i++ {
-		f.Prober.SendUDP(port, d.NSHost.Addr, 53, wire)
-	}
+	f.Prober.SendUDPTrain(f.Prober.Addr, port, d.NSHost.Addr, 53, wire, rrlBurst)
 	f.Net.RunFor(4 * f.Net.Latency())
 	f.Prober.CloseUDP(port)
 	// "We consider a nameserver vulnerable if we can measure a

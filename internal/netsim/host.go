@@ -362,15 +362,16 @@ func (h *Host) SendUDPSpoofed(src netip.Addr, srcPort uint16, dst netip.Addr, ds
 	h.sendUDP(&ip, 1)
 }
 
-// SendUDPTrain sends n spoofed UDP datagrams that differ only in their
-// first two payload bytes, a big-endian ID that runs 0…n−1 (what
-// payload holds there is ignored): SadDNS's TXID flood. A train is
-// observably n SendUDPSpoofed calls — the same IP-IDs, loss draws,
-// counters, Trace events and handler calls, in the same order — but
-// costs one serialization, one egress and route decision and,
-// lossless, one scheduled delivery that rewrites one buffer per
-// datagram when it fires. Datagrams larger than the path MTU leave
-// one at a time, as fragments.
+// SendUDPTrain sends n UDP datagrams, from any source address, that
+// differ only in their first two payload bytes, a big-endian ID that
+// runs 0…n−1 (what payload holds there is ignored): a DNS burst whose
+// IDs count up, such as SadDNS's TXID flood or the §5.2.2 RRL probe's
+// query burst. A train is observably n SendUDPSpoofed calls — the
+// same IP-IDs, loss draws, counters, Trace events and handler calls,
+// in the same order — but costs one serialization, one egress and
+// route decision and, lossless, one scheduled delivery that rewrites
+// one buffer per datagram when it fires. Datagrams larger than the
+// path MTU leave one at a time, as fragments.
 func (h *Host) SendUDPTrain(src netip.Addr, srcPort uint16, dst netip.Addr, dstPort uint16, payload []byte, n int) {
 	if len(payload) < 2 {
 		panic("netsim: a train's payload must hold its two-byte ID")

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -212,7 +213,27 @@ func TestRenderDispatch(t *testing.T) {
 	}
 }
 
+// unregister removes test registrations from the process-wide
+// registry, so a test that registers can run again in the same binary
+// (go test -count=N).
+func unregister(names ...string) {
+	regMu.Lock()
+	defer regMu.Unlock()
+	kept := registry[:0:0]
+	for _, e := range registry {
+		if !slices.Contains(names, e.Name) {
+			kept = append(kept, e)
+		}
+	}
+	registry = kept
+	clear(byName)
+	for i, e := range registry {
+		byName[e.Name] = i
+	}
+}
+
 func TestRegistryDispatch(t *testing.T) {
+	t.Cleanup(func() { unregister("test-reg-a", "test-reg-err") })
 	Register(Experiment{Name: "test-reg-a", Title: "A", Run: func(ctx context.Context, spec Spec) (*Report, error) {
 		r := New("", "")
 		r.AddSection(Table("", "A table", Col("seed", KindInt))).Add(spec.Seed)
