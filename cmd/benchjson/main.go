@@ -3,7 +3,9 @@
 // when -benchmem or b.ReportAllocs() provided them, B/op and
 // allocs/op) — the machine-readable perf record CI uploads as
 // BENCH_ci.json so the repository accumulates a benchmark trajectory
-// across commits.
+// across commits. A benchmark run several times (-count=N) is recorded
+// once, each metric the median of its runs, so one noisy run cannot
+// move the record.
 //
 // With -compare it becomes the perf gate instead: it reads two such
 // JSON files, prints a comparison table, and exits 1 if any benchmark
@@ -11,8 +13,8 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench . -benchtime=1x ./... | benchjson > BENCH_ci.json
-//	benchjson -compare -tolerance 15 BENCH_2.json BENCH_ci.json
+//	go test -run '^$' -bench . -benchtime=3x -count=3 . | benchjson > BENCH_ci.json
+//	benchjson -compare -tolerance 40 BENCH_8.json BENCH_ci.json
 package main
 
 import (
@@ -22,6 +24,7 @@ import (
 	"fmt"
 	"os"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"text/tabwriter"
@@ -82,6 +85,50 @@ func Parse(r *bufio.Scanner) ([]Result, error) {
 	return out, r.Err()
 }
 
+// Fold merges the repeated results of each benchmark (go test -count=N)
+// into one, in the order the benchmarks first appear. Each metric is
+// the median of the runs that reported it; a memory column no run
+// reported stays -1.
+func Fold(results []Result) []Result {
+	var order []string
+	runs := make(map[string][]Result)
+	for _, r := range results {
+		if _, seen := runs[r.Name]; !seen {
+			order = append(order, r.Name)
+		}
+		runs[r.Name] = append(runs[r.Name], r)
+	}
+	out := make([]Result, 0, len(order))
+	for _, name := range order {
+		rs := runs[name]
+		median := func(metric func(Result) float64) float64 {
+			var v []float64
+			for _, r := range rs {
+				if x := metric(r); x >= 0 {
+					v = append(v, x)
+				}
+			}
+			if len(v) == 0 {
+				return -1
+			}
+			slices.Sort(v)
+			m := len(v) / 2
+			if len(v)%2 == 0 {
+				return (v[m-1] + v[m]) / 2
+			}
+			return v[m]
+		}
+		out = append(out, Result{
+			Name:        name,
+			Iterations:  int(median(func(r Result) float64 { return float64(r.Iterations) })),
+			NsPerOp:     median(func(r Result) float64 { return r.NsPerOp }),
+			BytesPerOp:  median(func(r Result) float64 { return r.BytesPerOp }),
+			AllocsPerOp: median(func(r Result) float64 { return r.AllocsPerOp }),
+		})
+	}
+	return out
+}
+
 // stripProcs drops the -N GOMAXPROCS suffix so records compare across
 // machines.
 func stripProcs(name string) string {
@@ -93,13 +140,15 @@ func stripProcs(name string) string {
 	return name
 }
 
-// Compare diffs a new benchmark record against a baseline and renders
-// the verdict table. It reports breach when any baseline benchmark is
-// slower in the new record by more than tolerancePct percent, or is
-// missing from it entirely (a silently dropped benchmark must not
-// pass the gate). Benchmarks only present in the new record are noted
-// but never a breach — adding coverage is not a regression.
-func Compare(oldRes, newRes []Result, tolerancePct float64) (string, bool) {
+// Compare diffs a new benchmark record against the baseline record
+// read from the file baseline and renders the verdict table. It
+// reports breach when any baseline benchmark is slower in the new
+// record by more than tolerancePct percent, or is missing from it
+// entirely (a silently dropped benchmark must not pass the gate).
+// Benchmarks only present in the new record are noted but never a
+// breach — adding coverage is not a regression. On breach the table
+// ends with the command that refreshes baseline.
+func Compare(baseline string, oldRes, newRes []Result, tolerancePct float64) (string, bool) {
 	newBy := make(map[string]Result, len(newRes))
 	for _, r := range newRes {
 		newBy[r.Name] = r
@@ -137,7 +186,7 @@ func Compare(oldRes, newRes []Result, tolerancePct float64) (string, bool) {
 	if breach {
 		fmt.Fprintf(&b, "\nFAIL: regression beyond %.1f%% tolerance.\n", tolerancePct)
 		fmt.Fprintf(&b, "If the slowdown is intended, refresh the baseline:\n")
-		fmt.Fprintf(&b, "  go test -run '^$' -bench . -benchtime=3x . | go run ./cmd/benchjson > BENCH_2.json\n")
+		fmt.Fprintf(&b, "  go test -run '^$' -bench . -benchtime=3x -count=3 . | go run ./cmd/benchjson > %s\n", baseline)
 	}
 	return b.String(), breach
 }
@@ -207,7 +256,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		table, breach := Compare(oldRes, newRes, *tolerance)
+		table, breach := Compare(flag.Arg(0), oldRes, newRes, *tolerance)
 		fmt.Print(table)
 		if breach {
 			os.Exit(1)
@@ -228,7 +277,7 @@ func main() {
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(results); err != nil {
+	if err := enc.Encode(Fold(results)); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}

@@ -45,11 +45,11 @@ func TestParseIgnoresNonBenchLines(t *testing.T) {
 func TestCompareBreach(t *testing.T) {
 	old := []Result{{Name: "BenchmarkCampaign", NsPerOp: 100, AllocsPerOp: 7}}
 	cur := []Result{{Name: "BenchmarkCampaign", NsPerOp: 200, AllocsPerOp: 9}}
-	table, breach := Compare(old, cur, 15)
+	table, breach := Compare("BENCH_9.json", old, cur, 15)
 	if !breach {
 		t.Fatalf("2x slowdown passed a 15%% gate:\n%s", table)
 	}
-	for _, want := range []string{"BREACH", "+100.0%", "7→9", "refresh the baseline"} {
+	for _, want := range []string{"BREACH", "+100.0%", "7→9", "refresh the baseline", "-count=3 . | go run ./cmd/benchjson > BENCH_9.json"} {
 		if !strings.Contains(table, want) {
 			t.Errorf("table missing %q:\n%s", want, table)
 		}
@@ -65,7 +65,7 @@ func TestCompareWithinTolerance(t *testing.T) {
 		{Name: "BenchmarkCampaign", NsPerOp: 110, AllocsPerOp: 0},
 		{Name: "BenchmarkFaster", NsPerOp: 40, AllocsPerOp: 3},
 	}
-	table, breach := Compare(old, cur, 15)
+	table, breach := Compare("BENCH_9.json", old, cur, 15)
 	if breach {
 		t.Fatalf("10%% slowdown breached a 15%% gate:\n%s", table)
 	}
@@ -82,7 +82,7 @@ func TestCompareWithinTolerance(t *testing.T) {
 func TestCompareMissingBenchmark(t *testing.T) {
 	old := []Result{{Name: "BenchmarkDropped", NsPerOp: 100, AllocsPerOp: -1}}
 	cur := []Result{{Name: "BenchmarkAdded", NsPerOp: 50, AllocsPerOp: 2}}
-	table, breach := Compare(old, cur, 15)
+	table, breach := Compare("BENCH_9.json", old, cur, 15)
 	if !breach {
 		t.Fatalf("dropped benchmark passed the gate:\n%s", table)
 	}
@@ -92,6 +92,42 @@ func TestCompareMissingBenchmark(t *testing.T) {
 	// A benchmark only the new record has is a note, never a breach.
 	if !strings.Contains(table, "new (not in baseline)") {
 		t.Errorf("table missing new-benchmark note:\n%s", table)
+	}
+}
+
+// TestFold: repeated runs of a benchmark become one result, each metric
+// the median of its runs, in first-appearance order; a memory column
+// no run reported stays -1, and 0 allocs stays a real 0.
+func TestFold(t *testing.T) {
+	in := `BenchmarkB-2   3   500 ns/op
+BenchmarkA-2   3   100 ns/op   64 B/op   0 allocs/op
+BenchmarkB-2   3   900 ns/op
+BenchmarkA-2   3   300 ns/op   64 B/op   0 allocs/op
+BenchmarkB-2   3   12451 ns/op
+BenchmarkA-2   3   200 ns/op   80 B/op   0 allocs/op
+BenchmarkC-2   5   40 ns/op   8 B/op   1 allocs/op
+BenchmarkC-2   3   60 ns/op   16 B/op   3 allocs/op
+`
+	runs, err := Parse(bufio.NewScanner(strings.NewReader(in)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := Fold(runs)
+	want := []Result{
+		{Name: "BenchmarkB", Iterations: 3, NsPerOp: 900, BytesPerOp: -1, AllocsPerOp: -1},
+		{Name: "BenchmarkA", Iterations: 3, NsPerOp: 200, BytesPerOp: 64, AllocsPerOp: 0},
+		{Name: "BenchmarkC", Iterations: 4, NsPerOp: 50, BytesPerOp: 12, AllocsPerOp: 2},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("folded to %d results, want %d: %+v", len(got), len(want), got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("result %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if single := Fold(runs[:1]); len(single) != 1 || single[0] != runs[0] {
+		t.Errorf("one run folded to %+v, want it unchanged", single)
 	}
 }
 

@@ -73,6 +73,10 @@
 // -checkpoint persists that cache across restarts (written every
 // -checkpoint-every while dirty, and flushed on shutdown — Ctrl-C
 // drains the job queue and writes a final checkpoint before exiting).
+// With -serve only -addr, -checkpoint, -checkpoint-every, -cpuprofile
+// and -memprofile mean something: any other flag, a run flag such as
+// -seed included, exits 2 naming it, because every request starts from
+// the defaults and its own query parameters.
 package main
 
 import (
@@ -84,6 +88,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
+	"time"
 
 	"crosslayer"
 	"crosslayer/internal/report"
@@ -103,25 +108,67 @@ func main() {
 	os.Exit(xlmain())
 }
 
-func xlmain() int {
-	exp := flag.String("exp", "all", "experiment to regenerate (see -list)")
-	list := flag.Bool("list", false, "list the registered experiments and exit")
-	format := flag.String("format", "text", "output renderer: text|json|csv|md")
-	quiet := flag.Bool("quiet", false, "suppress per-dataset progress on stderr")
-	serveMode := flag.Bool("serve", false, "run the resident sweep server instead of a one-shot experiment")
-	addr := flag.String("addr", "127.0.0.1:8053", "serve: HTTP listen address")
-	checkpoint := flag.String("checkpoint", "", "serve: cell-cache checkpoint file (empty = no persistence)")
-	checkpointEvery := flag.Duration("checkpoint-every", 0, "serve: periodic checkpoint interval; 0 = default (30s)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file (see DESIGN.md: profiling the trial hot path)")
-	memprofile := flag.String("memprofile", "", "write an allocation (heap) profile to this file on exit")
+// options holds the command line.
+type options struct {
+	exp, format, addr, checkpoint, cpuprofile, memprofile string
+	list, quiet, serve                                    bool
+	checkpointEvery                                       time.Duration
+	spec                                                  report.Spec
+}
+
+// bind registers every flag on fs.
+func (o *options) bind(fs *flag.FlagSet) {
+	fs.StringVar(&o.exp, "exp", "all", "experiment to regenerate (see -list)")
+	fs.BoolVar(&o.list, "list", false, "list the registered experiments and exit")
+	fs.StringVar(&o.format, "format", "text", "output renderer: text|json|csv|md")
+	fs.BoolVar(&o.quiet, "quiet", false, "suppress per-dataset progress on stderr")
+	fs.BoolVar(&o.serve, "serve", false, "run the resident sweep server instead of a one-shot experiment")
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:8053", "serve: HTTP listen address")
+	fs.StringVar(&o.checkpoint, "checkpoint", "", "serve: cell-cache checkpoint file (empty = no persistence)")
+	fs.DurationVar(&o.checkpointEvery, "checkpoint-every", 0, "serve: periodic checkpoint interval; 0 = default (30s)")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file (see DESIGN.md: profiling the trial hot path)")
+	fs.StringVar(&o.memprofile, "memprofile", "", "write an allocation (heap) profile to this file on exit")
 	// The run parameters come from the one table the server shares. A
 	// filter value with no usable key (",") is a usage error.
-	base := report.DefaultSpec()
-	base.Bind(flag.CommandLine)
-	flag.Parse()
+	o.spec = report.DefaultSpec()
+	o.spec.Bind(fs)
+}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
+// serveFlags are the flags that mean something with -serve.
+var serveFlags = map[string]bool{
+	"serve": true, "addr": true, "checkpoint": true, "checkpoint-every": true,
+	"cpuprofile": true, "memprofile": true,
+}
+
+// serveFlagError names the first flag set on fs that would have no
+// effect with -serve, or returns nil. The server binds each request's
+// run parameters from the defaults and the request's query, so a run
+// flag given to -serve would otherwise be dropped without a word.
+func serveFlagError(fs *flag.FlagSet) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && !serveFlags[f.Name] {
+			err = fmt.Errorf("flag -%s has no effect with -serve", f.Name)
+		}
+	})
+	return err
+}
+
+func xlmain() int {
+	var o options
+	o.bind(flag.CommandLine)
+	flag.Parse()
+	// A flag the server would ignore is a usage error; -list still
+	// lists, as it does before every other mode.
+	if o.serve && !o.list {
+		if err := serveFlagError(flag.CommandLine); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 2
+		}
+	}
+
+	if o.cpuprofile != "" {
+		f, err := os.Create(o.cpuprofile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
@@ -136,9 +183,9 @@ func xlmain() int {
 			f.Close()
 		}()
 	}
-	if *memprofile != "" {
+	if o.memprofile != "" {
 		defer func() {
-			f, err := os.Create(*memprofile)
+			f, err := os.Create(o.memprofile)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				return
@@ -151,7 +198,7 @@ func xlmain() int {
 		}()
 	}
 
-	if *list {
+	if o.list {
 		for _, e := range crosslayer.ListExperiments() {
 			fmt.Printf("%-12s %s\n", e.Name, e.Title)
 		}
@@ -165,11 +212,11 @@ func xlmain() int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	if *serveMode {
+	if o.serve {
 		srv := crosslayer.NewSweepServer(crosslayer.SweepServerConfig{
-			Addr:            *addr,
-			CheckpointPath:  *checkpoint,
-			CheckpointEvery: *checkpointEvery,
+			Addr:            o.addr,
+			CheckpointPath:  o.checkpoint,
+			CheckpointEvery: o.checkpointEvery,
 			Log:             os.Stderr,
 		})
 		if err := srv.Run(ctx); err != nil {
@@ -182,8 +229,8 @@ func xlmain() int {
 	// spec executes one experiment under the engine, labelling progress
 	// lines with the experiment name.
 	spec := func(experiment string) crosslayer.ExperimentSpec {
-		s := base
-		if !*quiet {
+		s := o.spec
+		if !o.quiet {
 			s.Progress = progressPrinter(experiment)
 		}
 		return s
@@ -197,13 +244,13 @@ func xlmain() int {
 			fmt.Fprintln(os.Stderr, err)
 			return false
 		}
-		out, err := crosslayer.RenderReport(rep, *format)
+		out, err := crosslayer.RenderReport(rep, o.format)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return false
 		}
 		os.Stdout.Write(out)
-		if *format == "text" {
+		if o.format == "text" {
 			// Notes are metadata the byte-stable text artifact omits;
 			// surface them after it, like the historical CLI did.
 			for _, note := range rep.Notes {
@@ -213,13 +260,13 @@ func xlmain() int {
 		return true
 	}
 
-	if *exp == "all" {
+	if o.exp == "all" {
 		// The section banners are narration: with the text renderer
 		// they frame the artifacts on stdout as they always did, but
 		// machine-readable formats keep stdout pure (the banners move
 		// to stderr so concatenated documents stay parseable).
 		banner := os.Stdout
-		if *format != "text" {
+		if o.format != "text" {
 			banner = os.Stderr
 		}
 		for _, e := range crosslayer.ListExperiments() {
@@ -230,17 +277,17 @@ func xlmain() int {
 		}
 		return 0
 	}
-	if msg, ok := sequenceDemos[*exp]; ok {
+	if msg, ok := sequenceDemos[o.exp]; ok {
 		fmt.Println(msg)
 		return 0
 	}
-	if _, ok := report.Get(*exp); !ok {
+	if _, ok := report.Get(o.exp); !ok {
 		// Usage error, not run failure: print the registry's
 		// valid-key listing and exit 2 like every other bad flag.
-		fmt.Fprintf(os.Stderr, "unknown experiment %q (valid: %s)\n", *exp, strings.Join(report.Names(), ", "))
+		fmt.Fprintf(os.Stderr, "unknown experiment %q (valid: %s)\n", o.exp, strings.Join(report.Names(), ", "))
 		return 2
 	}
-	if !run(*exp) {
+	if !run(o.exp) {
 		return 1
 	}
 	return 0

@@ -57,6 +57,9 @@ type Server struct {
 	fillerOwner string
 	fillers     []*dnswire.RR
 	padRRs      []*dnswire.RR
+	// last describes the UDP reply in scratch, so that the rest of the
+	// train it was built for can resend it (see handle).
+	last lastReply
 
 	// Counters.
 	Queries, Responses, RateDropped, Truncated uint64
@@ -85,14 +88,27 @@ func New(host *netsim.Host, cfg Config) *Server {
 	return s
 }
 
+// lastReply is what handle remembers of its last UDP reply: the train
+// (netsim.Datagram.Train) it was built for, 0 for none; its length in
+// scratch; whether it is a TC reply; and how many records the
+// RandomizeOrder shuffle drew over.
+type lastReply struct {
+	train   uint64
+	n       int
+	tc      bool
+	shuffle int
+}
+
 // Reset rewinds the server to its post-New state for the next trial of
-// a reused world: the RRL window bookkeeping and counters are zeroed
-// and the observation hook dropped. Zones (immutable under serving),
-// config and bound ports survive; SadDNS-style config overrides are
-// restored by the host-level snapshot, not here.
+// a reused world: the RRL window bookkeeping and counters are zeroed,
+// the remembered reply forgotten and the observation hook dropped.
+// Zones (immutable under serving), config and bound ports survive;
+// SadDNS-style config overrides are restored by the host-level
+// snapshot, not here.
 func (s *Server) Reset() {
 	s.window = 0
 	s.sentInWin = 0
+	s.last = lastReply{}
 	s.Queries, s.Responses, s.RateDropped, s.Truncated = 0, 0, 0, 0
 	s.Observe = nil
 }
@@ -163,7 +179,35 @@ func (s *Server) Zone(name string) *Zone {
 	return best
 }
 
+// handle answers a UDP query. The datagrams of one train differ only in
+// their DNS ID, and between two of them only handle itself and the
+// network's observers run, so Cfg, the zones and the fillers cannot
+// change: the reply built for the train's first answered datagram is
+// resent to the rest with only the ID patched in. What varies per
+// datagram still happens per datagram: the counters, the RRL check and
+// the shuffle draw. A reply is reused only when it does not depend on
+// the shuffle's outcome (no shuffle was drawn, or the reply is TC), and
+// not while an Observe hook wants to see each query.
 func (s *Server) handle(dg netsim.Datagram) {
+	if r := s.last; r.train == dg.Train && s.Observe == nil {
+		s.Queries++
+		if s.Cfg.RateLimit && !s.allowResponse() {
+			s.RateDropped++
+			return
+		}
+		if r.shuffle > 0 {
+			s.Host.Rand().Shuffle(r.shuffle, func(int, int) {})
+		}
+		if r.tc {
+			s.Truncated++
+		}
+		s.Responses++
+		wire := s.scratch[:r.n]
+		copy(wire, dg.Payload[:2])
+		s.Host.SendUDP(53, dg.Src, dg.SrcPort, wire)
+		return
+	}
+	s.last.train = 0 // scratch is about to be overwritten
 	query, err := dnswire.Unpack(dg.Payload)
 	if err != nil || query.Response || len(query.Questions) == 0 {
 		return
@@ -182,7 +226,7 @@ func (s *Server) handle(dg netsim.Datagram) {
 	if sz, _, ok := query.EDNS(); ok {
 		limit = int(sz)
 	}
-	resp, truncate := s.respond(query, limit)
+	resp, shuffled, truncate := s.respond(query, limit)
 	var wire []byte
 	if !truncate {
 		if wire, err = resp.AppendPack(s.scratch[:0]); err != nil {
@@ -204,6 +248,9 @@ func (s *Server) handle(dg netsim.Datagram) {
 		s.scratch = wire
 	}
 	s.Responses++
+	if shuffled == 0 || truncate {
+		s.last = lastReply{train: dg.Train, n: len(wire), tc: truncate, shuffle: shuffled}
+	}
 	s.Host.SendUDP(53, dg.Src, dg.SrcPort, wire)
 }
 
@@ -222,7 +269,7 @@ func (s *Server) allowResponse() bool {
 // exported so the FragDNS attacker can predict the exact bytes the
 // server will emit (the attacker queries public zone data itself).
 func (s *Server) BuildResponse(query *dnswire.Message) *dnswire.Message {
-	resp, _ := s.respond(query, 0)
+	resp, _, _ := s.respond(query, 0)
 	return resp
 }
 
@@ -233,7 +280,9 @@ func (s *Server) BuildResponse(query *dnswire.Message) *dnswire.Message {
 // length does not depend on its order (see fill), so such an answer
 // could only have been cut to a TC reply. The order shuffle is drawn
 // all the same, so the host stream advances as if it had been built.
-func (s *Server) respond(query *dnswire.Message, limit int) (resp *dnswire.Message, truncate bool) {
+// shuffled is the number of records the shuffle drew over, 0 when
+// none was drawn.
+func (s *Server) respond(query *dnswire.Message, limit int) (resp *dnswire.Message, shuffled int, truncate bool) {
 	q := query.Question()
 	resp = &dnswire.Message{
 		ID: query.ID, Response: true, Authoritative: true,
@@ -246,12 +295,12 @@ func (s *Server) respond(query *dnswire.Message, limit int) (resp *dnswire.Messa
 	zone := s.Zone(q.Name)
 	if zone == nil {
 		resp.RCode = dnswire.RCodeRefused
-		return resp, false
+		return resp, 0, false
 	}
 	if q.Type == dnswire.TypeANY && !s.Cfg.ServeANY {
 		// Unbound-style minimal ANY refusal (RFC 8482).
 		resp.Answers = append(resp.Answers, dnswire.NewTXT(q.Name, 3600, "RFC8482"))
-		return resp, false
+		return resp, 0, false
 	}
 	answers, exists := zone.Lookup(q.Name, q.Type)
 	if len(answers) == 0 {
@@ -261,7 +310,7 @@ func (s *Server) respond(query *dnswire.Message, limit int) (resp *dnswire.Messa
 		if soa := zone.SOA(); soa != nil {
 			resp.Authority = append(resp.Authority, soa)
 		}
-		return resp, false
+		return resp, 0, false
 	}
 	// Layout: filler first, then the zone's records (one RRset, or ANY
 	// in Lookup's order, address records last), so the genuine records
@@ -273,10 +322,11 @@ func (s *Server) respond(query *dnswire.Message, limit int) (resp *dnswire.Messa
 		fillers, size = s.fill(resp, answers, q.Name)
 		if limit > 0 && size > limit {
 			if s.Cfg.RandomizeOrder {
-				s.Host.Rand().Shuffle(fillers+len(answers), func(int, int) {})
+				shuffled = fillers + len(answers)
+				s.Host.Rand().Shuffle(shuffled, func(int, int) {})
 			}
 			resp.Answers = nil
-			return resp, true
+			return resp, shuffled, true
 		}
 	}
 	resp.Answers = make([]*dnswire.RR, fillers, fillers+len(answers))
@@ -285,15 +335,15 @@ func (s *Server) respond(query *dnswire.Message, limit int) (resp *dnswire.Messa
 	}
 	resp.Answers = append(resp.Answers, answers...)
 	if s.Cfg.RandomizeOrder {
-		rng := s.Host.Rand()
-		rng.Shuffle(len(resp.Answers), func(i, j int) {
+		shuffled = len(resp.Answers)
+		s.Host.Rand().Shuffle(shuffled, func(i, j int) {
 			resp.Answers[i], resp.Answers[j] = resp.Answers[j], resp.Answers[i]
 		})
 	}
 	if zone.Signed {
 		s.sign(resp, zone)
 	}
-	return resp, false
+	return resp, shuffled, false
 }
 
 // maxFillers caps the filler records one response carries.

@@ -92,12 +92,22 @@ func DefaultHostConfig() HostConfig {
 // rewrites it in place for its next datagram. A handler that needs the
 // bytes beyond its own return must copy them (keeping the Datagram
 // struct itself, e.g. to read Src/SrcPort later, is fine).
+//
+// Train numbers the delivery the datagram arrived in; it is never 0
+// and never repeats within a network, Reset included. Datagrams that
+// share it came from one SendUDPTrain, back to back in one clock
+// event, to the same port, and differ only in their first two payload
+// bytes; every other datagram has a Train of its own. Between two
+// datagrams of one train only the receiving handler and the Trace and
+// onRaw observers run, so a handler may reuse work it did for the
+// train's earlier datagrams.
 type Datagram struct {
 	Src     netip.Addr
 	SrcPort uint16
 	Dst     netip.Addr
 	DstPort uint16
 	Payload []byte
+	Train   uint64
 }
 
 // UDPHandler consumes datagrams delivered to a bound port.
@@ -370,8 +380,12 @@ func (h *Host) SendUDPSpoofed(src netip.Addr, srcPort uint16, dst netip.Addr, ds
 // same IP-IDs, loss draws, counters, Trace events and handler calls,
 // in the same order — but costs one serialization, one egress and
 // route decision and, lossless, one scheduled delivery that rewrites
-// one buffer per datagram when it fires. Datagrams larger than the
-// path MTU leave one at a time, as fragments.
+// one buffer per datagram when it fires. The one difference a handler
+// can see is Datagram.Train: the datagrams of one delivery share it,
+// where n sends would each have their own. A loss or an IP-ID jump
+// splits the train into several deliveries, and datagrams larger than
+// the path MTU leave one at a time, as fragments, each reassembled
+// datagram with a Train of its own.
 func (h *Host) SendUDPTrain(src netip.Addr, srcPort uint16, dst netip.Addr, dstPort uint16, payload []byte, n int) {
 	if len(payload) < 2 {
 		panic("netsim: a train's payload must hold its two-byte ID")
@@ -488,7 +502,7 @@ func (h *Host) receiveUDP(ip *packet.IPv4) {
 		return
 	}
 	h.UDPDeliveredLocal++
-	handler(Datagram{Src: ip.Src, SrcPort: u.SrcPort, Dst: ip.Dst, DstPort: u.DstPort, Payload: u.Payload})
+	handler(Datagram{Src: ip.Src, SrcPort: u.SrcPort, Dst: ip.Dst, DstPort: u.DstPort, Payload: u.Payload, Train: h.net.train})
 }
 
 func (h *Host) receiveICMP(ip *packet.IPv4) {

@@ -62,6 +62,9 @@ type Network struct {
 	// Trace, when non-nil, observes every delivered packet; the
 	// example programs use it to print Figure 1/2-style sequences.
 	Trace func(ev TraceEvent)
+	// train numbers deliveries as they fire: the Datagram.Train of
+	// every UDP datagram the one firing now hands to a handler.
+	train uint64
 
 	// Counters. Offered counts every datagram or fragment handed to
 	// the network, and the datagrams a sender drops for want of a
@@ -397,8 +400,10 @@ func (n *Network) send(from *Host, ip *packet.IPv4, owned bool, count int) {
 // stay per datagram. Between datagrams the one payload buffer is
 // rewritten in place — IP-ID, ID word and an O(1) checksum update —
 // which is safe because a UDP handler may not keep or modify Payload
-// past its return.
+// past its return. Every datagram of the train carries the same
+// Datagram.Train, a number no other delivery gets.
 func (d *delivery) Fire() {
+	d.n.train++
 	dst := d.n.hosts[d.ip.Dst]
 	if dst != nil && dst.ASN != d.origin {
 		dst = nil // routed into an AS that does not host the address

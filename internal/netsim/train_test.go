@@ -15,6 +15,20 @@ type trainWorld struct {
 	*testNet
 	log      []string
 	captured []*packet.IPv4
+	// arrivals records each datagram the receiving socket got, for the
+	// Datagram.Train checks, which compare what the twins do not share.
+	arrivals []arrival
+	// oneIPIDRun: the sender counts IP-IDs globally and the datagrams
+	// fit the path, so a delivery ends only where a loss does.
+	oneIPIDRun bool
+}
+
+// arrival is one datagram seen by the receiving socket: its delivery,
+// the ID in its payload and when it came.
+type arrival struct {
+	train uint64
+	id    int
+	at    time.Duration
 }
 
 func (w *trainWorld) logf(format string, args ...any) {
@@ -108,6 +122,7 @@ func TestTrainEquivalentToSends(t *testing.T) {
 			if train.net.Offered < uint64(tc.n) {
 				t.Fatalf("%d packets offered for a %d-datagram train", train.net.Offered, tc.n)
 			}
+			checkTrains(t, train, sends)
 		})
 	}
 }
@@ -126,6 +141,7 @@ func runTwin(t *testing.T, tc trainCase, train bool) *trainWorld {
 	got := 0
 	w.victim.BindUDP(40000, func(dg Datagram) {
 		got++
+		w.arrivals = append(w.arrivals, arrival{dg.Train, int(dg.Payload[0])<<8 | int(dg.Payload[1]), w.net.Clock.Now()})
 		w.logf("udp %v:%d>%v:%d % x", dg.Src, dg.SrcPort, dg.Dst, dg.DstPort, dg.Payload)
 		if got == 5 {
 			w.net.Clock.After(0, func() { w.logf("scheduled by a handler mid-train") })
@@ -134,6 +150,8 @@ func runTwin(t *testing.T, tc trainCase, train bool) *trainWorld {
 			w.victim.CloseUDP(40000)
 		}
 	})
+	w.oneIPIDRun = from.Cfg.IPIDMode == IPIDGlobalCounter &&
+		packet.IPv4HeaderLen+packet.UDPHeaderLen+len(payload) <= from.PMTUTo(dst)
 	at := w.net.latencyBetween(from.ASN, w.victimAS)
 	w.net.Clock.At(at, func() { w.logf("scheduled before the send") })
 	if train {
@@ -161,6 +179,38 @@ func runTwin(t *testing.T, tc trainCase, train bool) *trainWorld {
 		t.Fatal("the clock never moved")
 	}
 	return w
+}
+
+// checkTrains checks Datagram.Train. Separate sends never share one.
+// The datagrams of a train share one per delivery: each delivery is one
+// clock event and carries consecutive IDs, and with a global IP-ID
+// counter and no fragments a train is split into deliveries only where
+// a datagram was lost.
+func checkTrains(t *testing.T, train, sends *trainWorld) {
+	t.Helper()
+	seen := map[uint64]bool{}
+	for i, a := range sends.arrivals {
+		if a.train == 0 || seen[a.train] {
+			t.Fatalf("separate send %d arrived with Train %d, not one of its own", i, a.train)
+		}
+		seen[a.train] = true
+	}
+	clear(seen)
+	for i, a := range train.arrivals {
+		if i == 0 || a.train != train.arrivals[i-1].train {
+			if a.train == 0 || seen[a.train] {
+				t.Fatalf("datagram %d of the train arrived with Train %d, not a new one", a.id, a.train)
+			}
+			seen[a.train] = true
+			if i > 0 && train.oneIPIDRun && a.id == train.arrivals[i-1].id+1 {
+				t.Fatalf("datagram %d of the train has a Train of its own although nothing was lost before it", a.id)
+			}
+			continue
+		}
+		if prev := train.arrivals[i-1]; a.id != prev.id+1 || a.at != prev.at {
+			t.Fatalf("datagrams %d and %d share Train %d but not one delivery", prev.id, a.id, a.train)
+		}
+	}
 }
 
 // TestTrainIsOneDelivery: a lossless train to a bound port is one
