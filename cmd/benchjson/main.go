@@ -9,12 +9,13 @@
 //
 // With -compare it becomes the perf gate instead: it reads two such
 // JSON files, prints a comparison table, and exits 1 if any benchmark
-// regressed beyond the tolerance.
+// regressed beyond the tolerance, allocates more (see allocSlackPct),
+// or is missing.
 //
 // Usage:
 //
-//	go test -run '^$' -bench . -benchtime=3x -count=3 . | benchjson > BENCH_ci.json
-//	benchjson -compare -tolerance 40 BENCH_8.json BENCH_ci.json
+//	go test -run '^$' -bench . -benchtime=3x -cpu 2 -count=3 . | benchjson > BENCH_ci.json
+//	benchjson -compare -tolerance 40 BENCH_9.json BENCH_ci.json
 package main
 
 import (
@@ -140,14 +141,26 @@ func stripProcs(name string) string {
 	return name
 }
 
+// The allocation gate: allocs/op breaches when it rises by more than
+// allocSlackPct percent and by more than allocSlack allocations. Unlike
+// ns/op, allocs/op hardly moves on unchanged code (at most ±37 on
+// BenchmarkCampaign's 162,400 across BENCH_6, 7 and 8), so a rise past
+// both bounds is a change in what the code does, not runner noise.
+const (
+	allocSlackPct = 1
+	allocSlack    = 16
+)
+
 // Compare diffs a new benchmark record against the baseline record
 // read from the file baseline and renders the verdict table. It
 // reports breach when any baseline benchmark is slower in the new
-// record by more than tolerancePct percent, or is missing from it
-// entirely (a silently dropped benchmark must not pass the gate).
-// Benchmarks only present in the new record are noted but never a
-// breach — adding coverage is not a regression. On breach the table
-// ends with the command that refreshes baseline.
+// record by more than tolerancePct percent, allocates more than the
+// allocation gate allows (checked only when both records carry
+// allocs/op), or is missing from the new record entirely (a silently
+// dropped benchmark must not pass the gate). Benchmarks only present
+// in the new record are noted but never a breach — adding coverage is
+// not a regression. On breach the table ends with one line per kind of
+// breach and the command that refreshes baseline.
 func Compare(baseline string, oldRes, newRes []Result, tolerancePct float64) (string, bool) {
 	newBy := make(map[string]Result, len(newRes))
 	for _, r := range newRes {
@@ -155,38 +168,60 @@ func Compare(baseline string, oldRes, newRes []Result, tolerancePct float64) (st
 	}
 	var b strings.Builder
 	tw := tabwriter.NewWriter(&b, 2, 8, 2, ' ', 0)
-	fmt.Fprintf(tw, "benchmark\tbase ns/op\tnew ns/op\tdelta\tallocs\tverdict\n")
-	breach := false
+	fmt.Fprintf(tw, "benchmark\tbase ns/op\tnew ns/op\tdelta\tallocs\tallocs verdict\tverdict\n")
+	var slower, allocating, missing int
 	for _, o := range oldRes {
 		n, ok := newBy[o.Name]
 		if !ok {
-			breach = true
-			fmt.Fprintf(tw, "%s\t%.0f\t-\t-\t%s\tBREACH (missing from new record)\n",
+			missing++
+			fmt.Fprintf(tw, "%s\t%.0f\t-\t-\t%s\t-\tBREACH (missing from new record)\n",
 				o.Name, o.NsPerOp, allocDelta(o.AllocsPerOp, -1))
 			continue
 		}
 		delete(newBy, o.Name)
 		deltaPct := 100 * (n.NsPerOp - o.NsPerOp) / o.NsPerOp
-		verdict := "ok"
+		var breaches []string
 		if deltaPct > tolerancePct {
-			breach = true
-			verdict = fmt.Sprintf("BREACH (+%.1f%% > %.1f%% tolerance)", deltaPct, tolerancePct)
+			slower++
+			breaches = append(breaches, fmt.Sprintf("+%.1f%% > %.1f%% tolerance", deltaPct, tolerancePct))
 		}
-		fmt.Fprintf(tw, "%s\t%.0f\t%.0f\t%+.1f%%\t%s\t%s\n",
-			o.Name, o.NsPerOp, n.NsPerOp, deltaPct, allocDelta(o.AllocsPerOp, n.AllocsPerOp), verdict)
+		allocVerdict := "-"
+		if o.AllocsPerOp >= 0 && n.AllocsPerOp >= 0 {
+			allocVerdict = "ok"
+			if rise := n.AllocsPerOp - o.AllocsPerOp; rise > allocSlack && rise > o.AllocsPerOp*allocSlackPct/100 {
+				allocating++
+				allocVerdict = fmt.Sprintf("BREACH (+%.0f allocs/op)", rise)
+				breaches = append(breaches, "allocs/op")
+			}
+		}
+		verdict := "ok"
+		if len(breaches) > 0 {
+			verdict = "BREACH (" + strings.Join(breaches, ", ") + ")"
+		}
+		fmt.Fprintf(tw, "%s\t%.0f\t%.0f\t%+.1f%%\t%s\t%s\t%s\n",
+			o.Name, o.NsPerOp, n.NsPerOp, deltaPct, allocDelta(o.AllocsPerOp, n.AllocsPerOp), allocVerdict, verdict)
 	}
 	// Deterministic order for the leftovers: walk newRes, not the map.
 	for _, n := range newRes {
 		if _, leftover := newBy[n.Name]; leftover {
-			fmt.Fprintf(tw, "%s\t-\t%.0f\t-\t%s\tnew (not in baseline)\n",
+			fmt.Fprintf(tw, "%s\t-\t%.0f\t-\t%s\t-\tnew (not in baseline)\n",
 				n.Name, n.NsPerOp, allocDelta(-1, n.AllocsPerOp))
 		}
 	}
 	tw.Flush()
+	breach := slower+allocating+missing > 0
+	if slower > 0 {
+		fmt.Fprintf(&b, "\nFAIL: %d benchmark(s) slower than the baseline beyond the %.1f%% tolerance.", slower, tolerancePct)
+	}
+	if allocating > 0 {
+		fmt.Fprintf(&b, "\nFAIL: %d benchmark(s) allocate more than the baseline, by over %d%% and over %d allocs/op.", allocating, allocSlackPct, allocSlack)
+	}
+	if missing > 0 {
+		fmt.Fprintf(&b, "\nFAIL: %d baseline benchmark(s) missing from the new record (removed or renamed; the /pN parallel benchmarks take N from -cpu).", missing)
+	}
 	if breach {
-		fmt.Fprintf(&b, "\nFAIL: regression beyond %.1f%% tolerance.\n", tolerancePct)
-		fmt.Fprintf(&b, "If the slowdown is intended, refresh the baseline:\n")
-		fmt.Fprintf(&b, "  go test -run '^$' -bench . -benchtime=3x -count=3 . | go run ./cmd/benchjson > %s\n", baseline)
+		fmt.Fprintf(&b, "\nIf the change is intended, refresh the baseline:\n")
+		fmt.Fprintf(&b, "  go test -run '^$' -bench . -benchtime=3x -cpu 2 -count=3 . | go run ./cmd/benchjson > %s\n", baseline)
 	}
 	return b.String(), breach
 }

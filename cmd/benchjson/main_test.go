@@ -49,7 +49,7 @@ func TestCompareBreach(t *testing.T) {
 	if !breach {
 		t.Fatalf("2x slowdown passed a 15%% gate:\n%s", table)
 	}
-	for _, want := range []string{"BREACH", "+100.0%", "7→9", "refresh the baseline", "-count=3 . | go run ./cmd/benchjson > BENCH_9.json"} {
+	for _, want := range []string{"BREACH", "+100.0%", "7→9", "refresh the baseline", "-cpu 2", "-count=3 . | go run ./cmd/benchjson > BENCH_9.json"} {
 		if !strings.Contains(table, want) {
 			t.Errorf("table missing %q:\n%s", want, table)
 		}
@@ -89,9 +89,59 @@ func TestCompareMissingBenchmark(t *testing.T) {
 	if !strings.Contains(table, "BREACH (missing from new record)") {
 		t.Errorf("table missing dropped-benchmark breach:\n%s", table)
 	}
+	// The closing line names the missing benchmark, not a slowdown.
+	if !strings.Contains(table, "FAIL: 1 baseline benchmark(s) missing from the new record") || strings.Contains(table, "slower") {
+		t.Errorf("closing lines do not say plainly that a benchmark is missing:\n%s", table)
+	}
 	// A benchmark only the new record has is a note, never a breach.
 	if !strings.Contains(table, "new (not in baseline)") {
 		t.Errorf("table missing new-benchmark note:\n%s", table)
+	}
+}
+
+// TestCompareAllocGate: allocs/op breaches only when it rises by more
+// than 1% and by more than 16 allocations, whatever ns/op says, and is
+// not checked when either record lacks the column.
+func TestCompareAllocGate(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		old, cur float64
+		breach   bool
+	}{
+		{"17 more of 1000", 1000, 1017, true},
+		{"17 more of 162400", 162400, 162417, false},
+		{"37 more of 162400", 162400, 162437, false},
+		{"15 more of 100", 100, 115, false},
+		{"1 more of 92", 92, 93, false},
+		{"more than doubled", 20, 54, true},
+		{"fewer", 54542, 39137, false},
+		{"baseline without allocs", -1, 5000, false},
+		{"new record without allocs", 5000, -1, false},
+	} {
+		old := []Result{{Name: "BenchmarkX", NsPerOp: 100, AllocsPerOp: tc.old}}
+		cur := []Result{{Name: "BenchmarkX", NsPerOp: 90, AllocsPerOp: tc.cur}}
+		table, breach := Compare("BENCH_9.json", old, cur, 40)
+		if breach != tc.breach {
+			t.Errorf("%s: breach %v, want %v:\n%s", tc.name, breach, tc.breach, table)
+			continue
+		}
+		if tc.breach {
+			for _, want := range []string{"BREACH (+", " allocs/op)", "BREACH (allocs/op)", "FAIL: 1 benchmark(s) allocate more", "refresh the baseline"} {
+				if !strings.Contains(table, want) {
+					t.Errorf("%s: table missing %q:\n%s", tc.name, want, table)
+				}
+			}
+			if strings.Contains(table, "slower") {
+				t.Errorf("%s: an allocation breach reported as a slowdown:\n%s", tc.name, table)
+			}
+		}
+	}
+	// Both breaches on one row are named on it.
+	table, _ := Compare("BENCH_9.json",
+		[]Result{{Name: "BenchmarkX", NsPerOp: 100, AllocsPerOp: 1000}},
+		[]Result{{Name: "BenchmarkX", NsPerOp: 300, AllocsPerOp: 2000}}, 40)
+	if !strings.Contains(table, "BREACH (+200.0% > 40.0% tolerance, allocs/op)") || !strings.Contains(table, "slower") || !strings.Contains(table, "allocate more") {
+		t.Errorf("a row breaching both gates:\n%s", table)
 	}
 }
 

@@ -1,6 +1,7 @@
 package dnssrv
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 	"strings"
@@ -58,8 +59,10 @@ type Server struct {
 	fillers     []*dnswire.RR
 	padRRs      []*dnswire.RR
 	// last describes the UDP reply in scratch, so that the rest of the
-	// train it was built for can resend it (see handle).
-	last lastReply
+	// train it was built for can resend it (see handle); queue holds
+	// the replies handle has not sent yet.
+	last  lastReply
+	queue replyQueue
 
 	// Counters.
 	Queries, Responses, RateDropped, Truncated uint64
@@ -99,9 +102,19 @@ type lastReply struct {
 	shuffle int
 }
 
+// replyQueue is the reply train handle has queued but not sent: count
+// copies of the reply in scratch[:n] for dst:port, whose DNS IDs count
+// up from id.
+type replyQueue struct {
+	dst      netip.Addr
+	port, id uint16
+	n, count int
+}
+
 // Reset rewinds the server to its post-New state for the next trial of
 // a reused world: the RRL window bookkeeping and counters are zeroed,
-// the remembered reply forgotten and the observation hook dropped.
+// the remembered reply and the reply queue dropped and the observation
+// hook removed.
 // Zones (immutable under serving), config and bound ports survive;
 // SadDNS-style config overrides are restored by the host-level
 // snapshot, not here.
@@ -109,6 +122,7 @@ func (s *Server) Reset() {
 	s.window = 0
 	s.sentInWin = 0
 	s.last = lastReply{}
+	s.queue = replyQueue{}
 	s.Queries, s.Responses, s.RateDropped, s.Truncated = 0, 0, 0, 0
 	s.Observe = nil
 }
@@ -179,16 +193,31 @@ func (s *Server) Zone(name string) *Zone {
 	return best
 }
 
-// handle answers a UDP query. The datagrams of one train differ only in
-// their DNS ID, and between two of them only handle itself and the
-// network's observers run, so Cfg, the zones and the fillers cannot
-// change: the reply built for the train's first answered datagram is
-// resent to the rest with only the ID patched in. What varies per
-// datagram still happens per datagram: the counters, the RRL check and
-// the shuffle draw. A reply is reused only when it does not depend on
-// the shuffle's outcome (no shuffle was drawn, or the reply is TC), and
-// not while an Observe hook wants to see each query.
+// handle answers a UDP query, and a query train with a train of
+// replies. The datagrams of one train differ only in their DNS ID, and
+// between two of them only handle itself and the network's observers
+// run, so Cfg, the zones and the fillers cannot change: the reply built
+// for the train's first answered datagram is resent to the rest with
+// only the ID patched in. What varies per datagram still happens per
+// datagram: the counters, the RRL check and the shuffle draw. A reply
+// is reused only when it does not depend on the shuffle's outcome (no
+// shuffle was drawn, or the reply is TC), and not while an Observe hook
+// wants to see each query.
+//
+// Replies leave through the queue (see enqueue): it is sent as one
+// train when the query train ends, before scratch is rewritten and
+// before a shuffle draw, so each reply still draws its IP-ID from the
+// host stream before the next datagram's shuffle, and the train takes
+// the place in the clock that the first reply would have taken.
 func (s *Server) handle(dg netsim.Datagram) {
+	s.answer(dg)
+	if !dg.More {
+		s.flush()
+	}
+}
+
+// answer handles one datagram of a query train, queueing its reply.
+func (s *Server) answer(dg netsim.Datagram) {
 	if r := s.last; r.train == dg.Train && s.Observe == nil {
 		s.Queries++
 		if s.Cfg.RateLimit && !s.allowResponse() {
@@ -196,18 +225,19 @@ func (s *Server) handle(dg netsim.Datagram) {
 			return
 		}
 		if r.shuffle > 0 {
+			s.flush() // the queued replies draw their IP-IDs first, as sends would
 			s.Host.Rand().Shuffle(r.shuffle, func(int, int) {})
 		}
 		if r.tc {
 			s.Truncated++
 		}
 		s.Responses++
-		wire := s.scratch[:r.n]
-		copy(wire, dg.Payload[:2])
-		s.Host.SendUDP(53, dg.Src, dg.SrcPort, wire)
+		s.enqueue(dg, r.n)
 		return
 	}
-	s.last.train = 0 // scratch is about to be overwritten
+	// scratch is about to be overwritten: send the replies it holds.
+	s.flush()
+	s.last.train = 0
 	query, err := dnswire.Unpack(dg.Payload)
 	if err != nil || query.Response || len(query.Questions) == 0 {
 		return
@@ -251,7 +281,31 @@ func (s *Server) handle(dg netsim.Datagram) {
 	if shuffled == 0 || truncate {
 		s.last = lastReply{train: dg.Train, n: len(wire), tc: truncate, shuffle: shuffled}
 	}
-	s.Host.SendUDP(53, dg.Src, dg.SrcPort, wire)
+	s.enqueue(dg, len(wire))
+}
+
+// enqueue adds the reply in scratch[:n], with dg's ID, to the queue,
+// sending the queue first if the reply does not extend it.
+func (s *Server) enqueue(dg netsim.Datagram, n int) {
+	id := binary.BigEndian.Uint16(dg.Payload)
+	if q := s.queue; q.count == 0 || id != q.id+uint16(q.count) {
+		s.flush()
+		s.queue = replyQueue{dst: dg.Src, port: dg.SrcPort, id: id, n: n}
+	}
+	s.queue.count++
+}
+
+// flush sends the queued replies as one train, the only way a UDP reply
+// leaves the server.
+func (s *Server) flush() {
+	q := s.queue
+	if q.count == 0 {
+		return
+	}
+	s.queue.count = 0
+	wire := s.scratch[:q.n]
+	binary.BigEndian.PutUint16(wire, q.id)
+	s.Host.SendUDPTrain(s.Host.Addr, 53, q.dst, q.port, wire, q.count)
 }
 
 func (s *Server) allowResponse() bool {

@@ -88,6 +88,10 @@ func TestTrainRepliesMatchSends(t *testing.T) {
 			{a, 30}, {packedQuery("vict.im.", dnswire.TypeTXT, 4096, false), 30}, {a4096, 30}}},
 		{name: "injected loss splits the train", cfg: func(c *dnssrv.Config) { rrl(c); pad(c) }, loss: 0.3,
 			bursts: []trainBurst{{a, 300}}},
+		{name: "the probe against a random-IP-ID nameserver", randomIPID: true, cfg: pad, bursts: []trainBurst{{a, 400}}},
+		{name: "the probe against a random-IP-ID nameserver at 100 qps", randomIPID: true,
+			cfg: func(c *dnssrv.Config) { rrl(c); pad(c) }, bursts: []trainBurst{{a, 400}}},
+		{name: "a train of one", cfg: pad, bursts: []trainBurst{{a, 1}, {a4096, 1}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			train, sends := runTrainTwin(t, tc, true), runTrainTwin(t, tc, false)
@@ -161,28 +165,76 @@ func runTrainTwin(t *testing.T, tc trainCase, train bool) []string {
 	return log
 }
 
-// TestTrainReplyAllocsIndependentOfLength pins what reply reuse buys: a
-// warm nameserver answering a 400-query train allocates no more than
-// for a 4-query train, because it unpacks, looks up and packs once per
-// train, not once per datagram.
+// TestTrainReplyAllocsIndependentOfLength pins what reply reuse and
+// reply trains buy: a warm nameserver answering a 400-query train, and
+// the prober receiving its replies, allocate no more than for a
+// 4-query train, because the server unpacks, looks up and packs once
+// per train, not once per datagram, and its replies are one train that
+// lists random IP-IDs in a node the freelist keeps warm.
 func TestTrainReplyAllocsIndependentOfLength(t *testing.T) {
-	s := padWorld(42, false, false)
-	s.NS.Cfg.PadAnswersTo = 1400
-	q := packedQuery("www.vict.im.", dnswire.TypeA, 0, false)
-	s.Attacker.BindUDP(40000, func(netsim.Datagram) {})
-	burst := func(n int) func() {
-		return func() {
-			s.Attacker.SendUDPTrain(s.Attacker.Addr, 40000, scenario.NSIP, 53, q, n)
-			s.Run()
+	for _, mode := range []netsim.IPIDMode{netsim.IPIDGlobalCounter, netsim.IPIDRandom} {
+		s := padWorld(42, false, false)
+		s.NS.Cfg.PadAnswersTo = 1400
+		s.NSHost.Cfg.IPIDMode = mode
+		q := packedQuery("www.vict.im.", dnswire.TypeA, 0, false)
+		replies := 0
+		s.Attacker.BindUDP(40000, func(netsim.Datagram) { replies++ })
+		burst := func(n int) func() {
+			return func() {
+				s.Attacker.SendUDPTrain(s.Attacker.Addr, 40000, scenario.NSIP, 53, q, n)
+				s.Run()
+			}
+		}
+		burst(400)() // warm the pools for 400 replies in flight
+		short, long := testing.AllocsPerRun(10, burst(4)), testing.AllocsPerRun(10, burst(400))
+		t.Logf("IP-ID mode %d: allocs/op: %v for 4 queries, %v for 400", mode, short, long)
+		if long > short {
+			t.Fatalf("IP-ID mode %d: 400-query train: %v allocs/op, 4-query train: %v; want no more", mode, long, short)
+		}
+		if s.NS.Responses == 0 || s.NS.Truncated != s.NS.Responses || uint64(replies) != s.NS.Responses {
+			t.Fatalf("%d responses, %d truncated, %d received: the probe's TC replies went untested", s.NS.Responses, s.NS.Truncated, replies)
 		}
 	}
-	burst(400)() // warm the pools for 400 replies in flight
-	short, long := testing.AllocsPerRun(10, burst(4)), testing.AllocsPerRun(10, burst(400))
-	t.Logf("allocs/op: %v for 4 queries, %v for 400", short, long)
-	if long > short {
-		t.Fatalf("400-query train: %v allocs/op, 4-query train: %v; want no more", long, short)
-	}
-	if s.NS.Responses == 0 || s.NS.Truncated != s.NS.Responses {
-		t.Fatalf("%d responses, %d truncated: the probe's TC replies went untested", s.NS.Responses, s.NS.Truncated)
+}
+
+// TestReplyTrainIsOneDelivery: a nameserver with random IP-IDs answers
+// a lossless 400-query train with one train of replies, one pending
+// event that reaches the prober as one delivery; under RRL at 100 qps
+// the 100 replies it sends are that one delivery.
+func TestReplyTrainIsOneDelivery(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		rrl     bool
+		replies int
+	}{{"RRL off", false, 400}, {"RRL at 100 qps", true, 100}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := padWorld(7, false, false)
+			s.NS.Cfg.PadAnswersTo = 1400
+			s.NS.Cfg.RateLimit, s.NS.Cfg.RateLimitQPS = tc.rrl, 100
+			s.NSHost.Cfg.IPIDMode = netsim.IPIDRandom
+			trains := map[uint64]int{}
+			s.Attacker.BindUDP(40000, func(dg netsim.Datagram) { trains[dg.Train]++ })
+			q := packedQuery("www.vict.im.", dnswire.TypeA, 0, false)
+			s.Attacker.SendUDPTrain(s.Attacker.Addr, 40000, scenario.NSIP, 53, q, 400)
+			if p := s.Clock.Pending(); p != 1 {
+				t.Fatalf("%d events pending after the query train, want 1", p)
+			}
+			s.Clock.Step()
+			if s.NS.Queries != 400 {
+				t.Fatalf("the nameserver got %d queries, want 400", s.NS.Queries)
+			}
+			if p := s.Clock.Pending(); p != 1 {
+				t.Fatalf("%d events pending after the nameserver answered, want 1 reply train", p)
+			}
+			s.Run()
+			if len(trains) != 1 {
+				t.Fatalf("replies arrived in %d deliveries, want 1: %v", len(trains), trains)
+			}
+			for _, n := range trains {
+				if n != tc.replies {
+					t.Fatalf("%d replies arrived, want %d", n, tc.replies)
+				}
+			}
+		})
 	}
 }

@@ -97,10 +97,16 @@ func DefaultHostConfig() HostConfig {
 // and never repeats within a network, Reset included. Datagrams that
 // share it came from one SendUDPTrain, back to back in one clock
 // event, to the same port, and differ only in their first two payload
-// bytes; every other datagram has a Train of its own. Between two
-// datagrams of one train only the receiving handler and the Trace and
-// onRaw observers run, so a handler may reuse work it did for the
-// train's earlier datagrams.
+// bytes; every other datagram has a Train of its own. Only a loss
+// splits a train into several deliveries (or a path MTU that makes
+// each datagram leave as fragments). Between two datagrams of one
+// train only the receiving handler and the Trace and onRaw observers
+// run, so a handler may reuse work it did for the train's earlier
+// datagrams.
+//
+// More is true when another datagram of the same delivery follows this
+// one: a handler that defers work to the end of a train (such as
+// answering it with one train of replies) does it when More is false.
 type Datagram struct {
 	Src     netip.Addr
 	SrcPort uint16
@@ -108,6 +114,7 @@ type Datagram struct {
 	DstPort uint16
 	Payload []byte
 	Train   uint64
+	More    bool
 }
 
 // UDPHandler consumes datagrams delivered to a bound port.
@@ -310,7 +317,10 @@ func (h *Host) OnICMP(fn ICMPHandler) { h.onICMP = fn }
 
 // OnRaw installs a packet-capture observer seeing every IP packet the
 // host receives, headers included (tcpdump on the measurement probe:
-// how the IPID experiments of §5.2.2 read identification values).
+// how the IPID experiments of §5.2.2 read identification values). The
+// observer may keep the packet but must not modify it: the receive
+// path that follows trusts a train's checksum once its first datagram
+// passed (see receiveUDP).
 func (h *Host) OnRaw(fn func(*packet.IPv4)) { h.onRaw = fn }
 
 // --- send paths ---
@@ -374,18 +384,19 @@ func (h *Host) SendUDPSpoofed(src netip.Addr, srcPort uint16, dst netip.Addr, ds
 
 // SendUDPTrain sends n UDP datagrams, from any source address, that
 // differ only in their first two payload bytes, a big-endian ID that
-// runs 0…n−1 (what payload holds there is ignored): a DNS burst whose
-// IDs count up, such as SadDNS's TXID flood or the §5.2.2 RRL probe's
-// query burst. A train is observably n SendUDPSpoofed calls — the
-// same IP-IDs, loss draws, counters, Trace events and handler calls,
-// in the same order — but costs one serialization, one egress and
-// route decision and, lossless, one scheduled delivery that rewrites
-// one buffer per datagram when it fires. The one difference a handler
-// can see is Datagram.Train: the datagrams of one delivery share it,
-// where n sends would each have their own. A loss or an IP-ID jump
-// splits the train into several deliveries, and datagrams larger than
-// the path MTU leave one at a time, as fragments, each reassembled
-// datagram with a Train of its own.
+// counts up from the one payload holds there, wrapping after 0xffff: a
+// DNS burst whose IDs count up, such as SadDNS's TXID flood, the
+// §5.2.2 RRL probe's query burst or a nameserver's replies to it. A
+// train is observably n SendUDPSpoofed calls — the same IP-IDs, loss
+// draws, counters, Trace events and handler calls, in the same order —
+// but costs one serialization, one egress and route decision and,
+// lossless, one scheduled delivery that rewrites one buffer per
+// datagram when it fires. What a handler can see besides is
+// Datagram.Train and Datagram.More: the datagrams of one delivery share
+// a Train, where n sends would each have their own, and all but the
+// last have More set. A loss splits the train into several deliveries,
+// and datagrams larger than the path MTU leave one at a time, as
+// fragments, each reassembled datagram with a Train of its own.
 func (h *Host) SendUDPTrain(src netip.Addr, srcPort uint16, dst netip.Addr, dstPort uint16, payload []byte, n int) {
 	if len(payload) < 2 {
 		panic("netsim: a train's payload must hold its two-byte ID")
@@ -394,7 +405,6 @@ func (h *Host) SendUDPTrain(src netip.Addr, srcPort uint16, dst netip.Addr, dstP
 		return
 	}
 	ip := h.udpPacket(src, srcPort, dst, dstPort, payload)
-	packet.SetUDPPayloadID(ip.Payload, 0)
 	h.sendUDP(&ip, n)
 }
 
@@ -424,7 +434,7 @@ func (h *Host) sendUDP(ip *packet.IPv4, count int) {
 	for k := 0; k < count; k++ {
 		if k > 0 {
 			ip.ID = h.NextIPID(ip.Dst)
-			packet.SetUDPPayloadID(ip.Payload, uint16(k))
+			nextPayloadID(ip.Payload)
 		}
 		frags, err := ip.Fragment(mtu)
 		if err != nil {
@@ -469,7 +479,8 @@ func (h *Host) Ping(dst netip.Addr, id, seq uint16) {
 
 // --- receive path ---
 
-func (h *Host) receive(ip *packet.IPv4) {
+// receive takes one delivered packet; more is Datagram.More.
+func (h *Host) receive(ip *packet.IPv4, more bool) {
 	h.Received++
 	if h.onRaw != nil {
 		h.onRaw(ip)
@@ -485,24 +496,33 @@ func (h *Host) receive(ip *packet.IPv4) {
 	}
 	switch ip.Protocol {
 	case packet.ProtoUDP:
-		h.receiveUDP(ip)
+		h.receiveUDP(ip, more)
 	case packet.ProtoICMP:
 		h.receiveICMP(ip)
 	}
 }
 
-func (h *Host) receiveUDP(ip *packet.IPv4) {
+// receiveUDP verifies a datagram's checksum and hands it to its port.
+// The checksum is verified once per delivery: datagram k of a train
+// differs from the first only by SetUDPPayloadID, which keeps a valid
+// checksum valid, so once the delivery's first datagram passed
+// (Network.verified holds its Train) the rest are taken as verified.
+// Raw sends, fragments and reassembled datagrams are deliveries of one,
+// so each is verified.
+func (h *Host) receiveUDP(ip *packet.IPv4, more bool) {
+	n := h.net
 	var u packet.UDP
-	if err := packet.DecodeUDPInto(&u, ip.Payload, ip.Src, ip.Dst, true); err != nil {
+	if err := packet.DecodeUDPInto(&u, ip.Payload, ip.Src, ip.Dst, n.verified != n.train); err != nil {
 		return // bad checksum: silently dropped, like real stacks
 	}
+	n.verified = n.train
 	handler := h.udpPorts[u.DstPort]
 	if handler == nil {
 		h.maybeSendPortUnreachable(ip)
 		return
 	}
 	h.UDPDeliveredLocal++
-	handler(Datagram{Src: ip.Src, SrcPort: u.SrcPort, Dst: ip.Dst, DstPort: u.DstPort, Payload: u.Payload, Train: h.net.train})
+	handler(Datagram{Src: ip.Src, SrcPort: u.SrcPort, Dst: ip.Dst, DstPort: u.DstPort, Payload: u.Payload, Train: n.train, More: more})
 }
 
 func (h *Host) receiveICMP(ip *packet.IPv4) {

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"time"
 
 	"crosslayer/internal/bgp"
@@ -64,7 +65,8 @@ type Network struct {
 	Trace func(ev TraceEvent)
 	// train numbers deliveries as they fire: the Datagram.Train of
 	// every UDP datagram the one firing now hands to a handler.
-	train uint64
+	// verified is the train whose checksum receiveUDP last verified.
+	train, verified uint64
 
 	// Counters. Offered counts every datagram or fragment handed to
 	// the network, and the datagrams a sender drops for want of a
@@ -141,15 +143,18 @@ func (p *DeliveryPool) Retained() int { return len(p.free) }
 
 // Trim drops pooled delivery nodes until at most n remain — the
 // retention bound a resident process applies between jobs, mirroring
-// pool.Wire.Trim. Nodes are uniform-sized, so a plain truncation is
-// the whole policy; the kept nodes move to an exact-fit backing array,
-// so a trimmed pool holds O(n) bytes however large the flood that
-// warmed it. Trim(0) empties the pool; it never affects correctness,
-// only what the next simulation must re-allocate.
+// pool.Wire.Trim. The kept nodes move to an exact-fit backing array
+// and drop their IP-ID lists, which leaves them uniform-sized, so a
+// trimmed pool holds O(n) bytes however large the flood that warmed
+// it. Trim(0) empties the pool; it never affects correctness, only
+// what the next simulation must re-allocate.
 func (p *DeliveryPool) Trim(n int) {
 	if cap(p.free) > n {
 		k := max(0, min(len(p.free), n))
 		p.free = append(make([]*delivery, 0, k), p.free[:k]...)
+	}
+	for _, d := range p.free {
+		d.ids = nil
 	}
 }
 
@@ -291,16 +296,19 @@ func (n *Network) Reset(seed int64) {
 // delivery is one scheduled train of datagrams: a pre-allocated clock
 // Action, so scheduling a delivery allocates neither a closure nor (at
 // steady state, thanks to the freelist) the node itself. ip is the
-// train's first datagram; datagram k of the train is ip with IP-ID
-// ip.ID+k and its payload's ID word (see Network.send) advanced by k.
-// An ordinary send is a train of one. ip.Payload is always backed by
-// the network's wire pool; whether it may be recycled after delivery
-// is decided per path in deliver.
+// train's first datagram; datagram k of the train is ip with its
+// payload's ID word (see Network.send) advanced by k and IP-ID ids[k],
+// or ip.ID+k when ids is empty: the list is filled only once the
+// sender's IP-IDs stop counting up (a random-IP-ID sender), and stays
+// with the node through the freelist. An ordinary send is a train of
+// one. ip.Payload is always backed by the network's wire pool; whether
+// it may be recycled after delivery is decided per path in deliver.
 type delivery struct {
 	n      *Network
 	origin bgp.ASN
 	ip     packet.IPv4
 	count  int
+	ids    []uint16
 }
 
 func (n *Network) allocDelivery() *delivery {
@@ -316,6 +324,7 @@ func (n *Network) allocDelivery() *delivery {
 
 func (n *Network) recycleDelivery(d *delivery) {
 	d.ip = packet.IPv4{}
+	d.ids = d.ids[:0]
 	n.delivp.free = append(n.delivp.free, d)
 }
 
@@ -329,13 +338,13 @@ func (n *Network) Send(from *Host, ip *packet.IPv4) {
 
 // send hands count datagrams to the network. ip is the first; with
 // count > 1 it must be UDP, and datagram k is ip with the first word of
-// its UDP payload (the DNS ID) set to k and the sender's next IP-ID — a
-// train. Egress filtering, route and latency are resolved once; the
-// IP-ID draw, Sent and the loss draw stay per datagram, as count
-// separate sends would make them. Surviving datagrams with consecutive
-// IP-IDs share one scheduled delivery; a loss or an IP-ID jump starts
-// the next, so the nodes hold exactly the place in the timestamp
-// bucket that count separate deliveries would.
+// its UDP payload (the DNS ID) advanced by k and the sender's next
+// IP-ID — a train. Egress filtering, route and latency are resolved
+// once; the IP-ID draw, Sent and the loss draw stay per datagram, as
+// count separate sends would make them. Surviving datagrams share one
+// scheduled delivery, which lists their IP-IDs if they do not count
+// up; only a loss starts the next, so the nodes hold exactly the place
+// in the timestamp bucket that count separate deliveries would.
 //
 // owned means ip.Payload was taken from n.wirep by the caller and
 // responsibility for returning it passes to the network (recycled on
@@ -359,6 +368,10 @@ func (n *Network) send(from *Host, ip *packet.IPv4, owned bool, count int) {
 	origin, routed := n.RIB.Resolve(from.ASN, ip.Dst)
 	latency := n.latencyBetween(from.ASN, origin)
 	var d *delivery
+	var firstID uint16 // the train's first payload ID, read before a node may own the buffer
+	if count > 1 {
+		firstID = binary.BigEndian.Uint16(ip.Payload[packet.UDPHeaderLen:])
+	}
 	for k := 0; k < count; k++ {
 		id := ip.ID
 		if k > 0 {
@@ -370,7 +383,16 @@ func (n *Network) send(from *Host, ip *packet.IPv4, owned bool, count int) {
 			d = nil
 			continue
 		}
-		if d != nil && id == d.ip.ID+uint16(d.count) {
+		if d != nil {
+			if len(d.ids) == 0 && id != d.ip.ID+uint16(d.count) {
+				d.ids = slices.Grow(d.ids, count-k+d.count)
+				for j := range d.count {
+					d.ids = append(d.ids, d.ip.ID+uint16(j))
+				}
+			}
+			if len(d.ids) > 0 {
+				d.ids = append(d.ids, id)
+			}
 			d.count++
 			continue
 		}
@@ -385,7 +407,7 @@ func (n *Network) send(from *Host, ip *packet.IPv4, owned bool, count int) {
 			d.ip.Payload = append(n.wirep.Get(len(ip.Payload)), ip.Payload...)
 		}
 		if k > 0 {
-			packet.SetUDPPayloadID(d.ip.Payload, uint16(k))
+			packet.SetUDPPayloadID(d.ip.Payload, firstID+uint16(k))
 		}
 		n.Clock.AfterAction(latency, d)
 	}
@@ -396,38 +418,50 @@ func (n *Network) send(from *Host, ip *packet.IPv4, owned bool, count int) {
 
 // Fire delivers the train's datagrams in order, each exactly as its
 // own delivery would be: counters, Trace and the receiver's whole
-// receive path (checksum verify, port lookup, ICMP budget, handler)
-// stay per datagram. Between datagrams the one payload buffer is
-// rewritten in place — IP-ID, ID word and an O(1) checksum update —
-// which is safe because a UDP handler may not keep or modify Payload
-// past its return. Every datagram of the train carries the same
-// Datagram.Train, a number no other delivery gets.
+// receive path (port lookup, ICMP budget, handler) stay per datagram;
+// only the checksum is verified once per delivery (see receiveUDP).
+// Between datagrams the one payload buffer is rewritten in place —
+// IP-ID (counted up, or the next from ids), ID word and an O(1)
+// checksum update — which is safe because a UDP handler may not keep
+// or modify Payload past its return. Every datagram of the train
+// carries the same Datagram.Train, a number no other delivery gets,
+// and all but the last Datagram.More.
 func (d *delivery) Fire() {
 	d.n.train++
 	dst := d.n.hosts[d.ip.Dst]
 	if dst != nil && dst.ASN != d.origin {
 		dst = nil // routed into an AS that does not host the address
 	}
-	for ; d.count > 1; d.count-- {
+	for k := 1; k < d.count; k++ {
 		d.deliver(dst, true)
-		d.ip.ID++
-		packet.SetUDPPayloadID(d.ip.Payload, binary.BigEndian.Uint16(d.ip.Payload[packet.UDPHeaderLen:])+1)
+		if len(d.ids) > 0 {
+			d.ip.ID = d.ids[k]
+		} else {
+			d.ip.ID++
+		}
+		nextPayloadID(d.ip.Payload)
 	}
 	d.deliver(dst, false)
+}
+
+// nextPayloadID advances the ID word of a serialized UDP datagram's
+// payload by one, wrapping after 0xffff.
+func nextPayloadID(wire []byte) {
+	packet.SetUDPPayloadID(wire, binary.BigEndian.Uint16(wire[packet.UDPHeaderLen:])+1)
 }
 
 // deliver hands the datagram in d.ip to dst, or, when the route ended
 // in an AS without that host (dst nil), to a hijacker's interceptor,
 // or drops it. more means the train rewrites d.ip for another datagram
-// afterwards, so a hook that may keep the packet (OnRaw, Interceptor)
-// gets its own copy. After the last datagram the payload buffer and
-// the node go back to their freelists only on paths where no reference
-// can outlive the call — a plain (non-fragment) UDP or ICMP delivery
-// to a host without a raw-capture hook, or a drop nobody observed.
-// Fragments are retained by the defrag cache, hooks may keep the
-// *IPv4, and ICMP handlers may keep the decoded message (which aliases
-// the payload), so those paths leak to the GC — recycling is an
-// optimisation, never an obligation.
+// afterwards (the receiver sees it as Datagram.More), so a hook that
+// may keep the packet (OnRaw, Interceptor) gets its own copy. After
+// the last datagram the payload buffer and the node go back to their
+// freelists only on paths where no reference can outlive the call — a
+// plain (non-fragment) UDP or ICMP delivery to a host without a
+// raw-capture hook, or a drop nobody observed. Fragments are retained
+// by the defrag cache, hooks may keep the *IPv4, and ICMP handlers may
+// keep the decoded message (which aliases the payload), so those paths
+// leak to the GC — recycling is an optimisation, never an obligation.
 func (d *delivery) deliver(dst *Host, more bool) {
 	n := d.n
 	ip := &d.ip
@@ -438,10 +472,10 @@ func (d *delivery) deliver(dst *Host, more bool) {
 		}
 		safe := dst.onRaw == nil && !ip.IsFragment()
 		if more && !safe {
-			dst.receive(n.detach(ip))
+			dst.receive(n.detach(ip), true)
 			return
 		}
-		dst.receive(ip)
+		dst.receive(ip, more)
 		if !more && safe {
 			if ip.Protocol == packet.ProtoUDP {
 				n.wirep.Put(ip.Payload)

@@ -379,16 +379,29 @@ func TestFragmentsDroppedWhenNotAccepted(t *testing.T) {
 	}
 }
 
+// TestBadUDPChecksumDropped: a datagram with a bad checksum is dropped,
+// alone and right behind a train to the same port at the same instant:
+// a train's checksum is verified once, for its own delivery only.
 func TestBadUDPChecksumDropped(t *testing.T) {
-	tn := build(t)
-	var got int
-	tn.victim.BindUDP(5353, func(Datagram) { got++ })
-	u := &packet.UDP{SrcPort: 1, DstPort: 5353, Checksum: 0xdead, ForceChecksum: true, Payload: []byte("corrupt")}
-	wire, _ := u.Serialize(nil, tn.atk.Addr, tn.victim.Addr)
-	tn.atk.SendRawIP(&packet.IPv4{ID: 1, TTL: 64, Protocol: packet.ProtoUDP, Src: tn.atk.Addr, Dst: tn.victim.Addr, Payload: wire})
-	tn.net.Run()
-	if got != 0 {
-		t.Fatal("datagram with bad checksum delivered")
+	for _, train := range []int{0, 3} {
+		tn := build(t)
+		var got int
+		var at []time.Duration
+		tn.victim.BindUDP(5353, func(Datagram) { got++ })
+		tn.victim.OnRaw(func(*packet.IPv4) { at = append(at, tn.clock.Now()) })
+		if train > 0 {
+			tn.atk.SendUDPTrain(tn.atk.Addr, 1, tn.victim.Addr, 5353, []byte("\x00\x00 a train"), train)
+		}
+		u := &packet.UDP{SrcPort: 1, DstPort: 5353, Checksum: 0xdead, ForceChecksum: true, Payload: []byte("corrupt")}
+		wire, _ := u.Serialize(nil, tn.atk.Addr, tn.victim.Addr)
+		tn.atk.SendRawIP(&packet.IPv4{ID: 1, TTL: 64, Protocol: packet.ProtoUDP, Src: tn.atk.Addr, Dst: tn.victim.Addr, Payload: wire})
+		tn.net.Run()
+		if got != train {
+			t.Fatalf("behind a %d-datagram train: %d datagrams delivered, want %d (the bad checksum dropped)", train, got, train)
+		}
+		if len(at) != train+1 || at[0] != at[train] {
+			t.Fatalf("behind a %d-datagram train: arrivals at %v, want %d at one instant", train, at, train+1)
+		}
 	}
 }
 
@@ -446,11 +459,11 @@ func TestResetReseedsHostStreams(t *testing.T) {
 
 // TestDeliveryPoolTrim pins the delivery-node retention bound that the
 // campaign's worker pool applies between jobs, the freelist's backing
-// array included.
+// array and the nodes' IP-ID lists included.
 func TestDeliveryPoolTrim(t *testing.T) {
 	p := &DeliveryPool{}
 	for i := 0; i < 50; i++ {
-		p.free = append(p.free, &delivery{})
+		p.free = append(p.free, &delivery{ids: make([]uint16, 0, 400)})
 	}
 	if p.Retained() != 50 {
 		t.Fatalf("Retained %d, want 50", p.Retained())
@@ -458,6 +471,11 @@ func TestDeliveryPoolTrim(t *testing.T) {
 	p.Trim(8)
 	if p.Retained() != 8 || cap(p.free) != 8 {
 		t.Fatalf("post-Trim Retained %d in %d slots, want 8 in 8", p.Retained(), cap(p.free))
+	}
+	for _, d := range p.free {
+		if cap(d.ids) != 0 {
+			t.Fatalf("a kept node holds a list of %d IP-IDs", cap(d.ids))
+		}
 	}
 	p.Trim(0)
 	if p.Retained() != 0 {

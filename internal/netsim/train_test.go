@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 	"testing"
@@ -18,17 +19,18 @@ type trainWorld struct {
 	// arrivals records each datagram the receiving socket got, for the
 	// Datagram.Train checks, which compare what the twins do not share.
 	arrivals []arrival
-	// oneIPIDRun: the sender counts IP-IDs globally and the datagrams
-	// fit the path, so a delivery ends only where a loss does.
-	oneIPIDRun bool
+	// whole: the datagrams fit the path, so a delivery ends only where
+	// a loss does, whatever the sender's IP-IDs.
+	whole bool
 }
 
 // arrival is one datagram seen by the receiving socket: its delivery,
-// the ID in its payload and when it came.
+// the ID in its payload, when it came and whether more followed it.
 type arrival struct {
 	train uint64
-	id    int
+	id    uint16
 	at    time.Duration
+	more  bool
 }
 
 func (w *trainWorld) logf(format string, args ...any) {
@@ -97,6 +99,15 @@ func TestTrainEquivalentToSends(t *testing.T) {
 			raw(w)
 			return spoofed(w)
 		}},
+		{name: "a node recycled from a random-IP-ID train", n: 50, setup: func(w *trainWorld) (*Host, netip.Addr, netip.Addr, []byte) {
+			w.victim.BindUDP(40001, func(Datagram) {})
+			w.atk.Cfg.IPIDMode = IPIDRandom
+			w.atk.SendUDPTrain(w.ns.Addr, 53, w.victim.Addr, 40001, dns, 50)
+			w.net.Run()
+			w.atk.Cfg.IPIDMode = IPIDGlobalCounter
+			raw(w)
+			return spoofed(w)
+		}},
 		{name: "larger than the path MTU", n: 30, setup: func(w *trainWorld) (*Host, netip.Addr, netip.Addr, []byte) {
 			w.atk.SetPMTU(w.victim.Addr, 576)
 			raw(w)
@@ -141,7 +152,7 @@ func runTwin(t *testing.T, tc trainCase, train bool) *trainWorld {
 	got := 0
 	w.victim.BindUDP(40000, func(dg Datagram) {
 		got++
-		w.arrivals = append(w.arrivals, arrival{dg.Train, int(dg.Payload[0])<<8 | int(dg.Payload[1]), w.net.Clock.Now()})
+		w.arrivals = append(w.arrivals, arrival{dg.Train, binary.BigEndian.Uint16(dg.Payload), w.net.Clock.Now(), dg.More})
 		w.logf("udp %v:%d>%v:%d % x", dg.Src, dg.SrcPort, dg.Dst, dg.DstPort, dg.Payload)
 		if got == 5 {
 			w.net.Clock.After(0, func() { w.logf("scheduled by a handler mid-train") })
@@ -150,17 +161,22 @@ func runTwin(t *testing.T, tc trainCase, train bool) *trainWorld {
 			w.victim.CloseUDP(40000)
 		}
 	})
-	w.oneIPIDRun = from.Cfg.IPIDMode == IPIDGlobalCounter &&
-		packet.IPv4HeaderLen+packet.UDPHeaderLen+len(payload) <= from.PMTUTo(dst)
+	w.whole = packet.IPv4HeaderLen+packet.UDPHeaderLen+len(payload) <= from.PMTUTo(dst)
 	at := w.net.latencyBetween(from.ASN, w.victimAS)
 	w.net.Clock.At(at, func() { w.logf("scheduled before the send") })
+	pending := w.net.Clock.Pending()
 	if train {
 		from.SendUDPTrain(src, 53, dst, 40000, payload, tc.n)
+		if p := w.net.Clock.Pending() - pending; w.whole && w.net.lossRate == 0 && p > 1 {
+			t.Fatalf("a lossless train is %d pending events, want at most one", p)
+		}
 	} else {
 		buf := append([]byte(nil), payload...)
-		for id := 0; id < tc.n; id++ {
-			buf[0], buf[1] = byte(id>>8), byte(id)
+		id := binary.BigEndian.Uint16(payload)
+		for range tc.n {
+			binary.BigEndian.PutUint16(buf, id)
 			from.SendUDPSpoofed(src, 53, dst, 40000, buf)
+			id++
 		}
 	}
 	w.net.Clock.At(at, func() { w.logf("scheduled after the send") })
@@ -181,46 +197,51 @@ func runTwin(t *testing.T, tc trainCase, train bool) *trainWorld {
 	return w
 }
 
-// checkTrains checks Datagram.Train. Separate sends never share one.
-// The datagrams of a train share one per delivery: each delivery is one
-// clock event and carries consecutive IDs, and with a global IP-ID
-// counter and no fragments a train is split into deliveries only where
-// a datagram was lost.
+// checkTrains checks Datagram.Train and Datagram.More. Separate sends
+// never share a Train and never have More set. The datagrams of a train
+// share one per delivery: each delivery is one clock event and carries
+// consecutive IDs, all but its last with More set, and without
+// fragments a train is split into deliveries only where a datagram was
+// lost, in every IP-ID mode.
 func checkTrains(t *testing.T, train, sends *trainWorld) {
 	t.Helper()
 	seen := map[uint64]bool{}
 	for i, a := range sends.arrivals {
-		if a.train == 0 || seen[a.train] {
-			t.Fatalf("separate send %d arrived with Train %d, not one of its own", i, a.train)
+		if a.train == 0 || seen[a.train] || a.more {
+			t.Fatalf("separate send %d arrived with Train %d, More %v, not a Train of its own", i, a.train, a.more)
 		}
 		seen[a.train] = true
 	}
 	clear(seen)
 	for i, a := range train.arrivals {
 		if i == 0 || a.train != train.arrivals[i-1].train {
+			if i > 0 && train.arrivals[i-1].more {
+				t.Fatalf("datagram %d ended Train %d although More was set", train.arrivals[i-1].id, train.arrivals[i-1].train)
+			}
 			if a.train == 0 || seen[a.train] {
 				t.Fatalf("datagram %d of the train arrived with Train %d, not a new one", a.id, a.train)
 			}
 			seen[a.train] = true
-			if i > 0 && train.oneIPIDRun && a.id == train.arrivals[i-1].id+1 {
+			if i > 0 && train.whole && a.id == train.arrivals[i-1].id+1 {
 				t.Fatalf("datagram %d of the train has a Train of its own although nothing was lost before it", a.id)
 			}
 			continue
 		}
-		if prev := train.arrivals[i-1]; a.id != prev.id+1 || a.at != prev.at {
+		if prev := train.arrivals[i-1]; a.id != prev.id+1 || a.at != prev.at || !prev.more {
 			t.Fatalf("datagrams %d and %d share Train %d but not one delivery", prev.id, a.id, a.train)
 		}
 	}
 }
 
 // TestTrainIsOneDelivery: a lossless train to a bound port is one
-// scheduled event, however long, and all of it arrives.
+// scheduled event, however long, and all of it arrives, its IDs
+// counting up from the payload's own.
 func TestTrainIsOneDelivery(t *testing.T) {
 	tn := build(t)
 	seen := 0
 	tn.victim.BindUDP(40000, func(dg Datagram) {
-		if id := int(dg.Payload[0])<<8 | int(dg.Payload[1]); id != seen {
-			t.Fatalf("datagram %d carries ID %d", seen, id)
+		if id, want := binary.BigEndian.Uint16(dg.Payload), uint16(0x6964+seen); id != want {
+			t.Fatalf("datagram %d carries ID %d, want %d", seen, id, want)
 		}
 		seen++
 	})
