@@ -118,6 +118,32 @@ func TestSteadyStateSendZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestClosedPortProbeZeroAllocs pins the ICMP error path that a SadDNS
+// port scan and the tail of its TXID flood take: on a warmed world a
+// spoofed probe to a closed port allocates nothing. The error quotes
+// the probe into the network's reused scratch buffer, and, with no
+// host owning the probe's source address, it is dropped and its
+// buffers are recycled.
+func TestClosedPortProbeZeroAllocs(t *testing.T) {
+	s := scenario.New(scenario.Config{Seed: 42})
+	src := netip.MustParseAddr("123.0.0.99") // in the nameserver's prefix, owned by no host
+	payload := make([]byte, 64)
+	round := func() {
+		s.Attacker.SendUDPSpoofed(src, 53, scenario.ResolverIP, 999, payload)
+		s.Net.Run()
+	}
+	for i := 0; i < 10; i++ {
+		round() // warm pools, freelists and the quote buffer
+	}
+	sent := s.ResolverHost.ICMPSent
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Fatalf("spoofed probe to a closed port: %v allocs/op, want 0", allocs)
+	}
+	if s.ResolverHost.ICMPSent-sent < 100 || s.ResolverHost.ICMPSuppressed != 0 {
+		t.Fatalf("%d ICMP errors sent, %d suppressed; want one per probe", s.ResolverHost.ICMPSent-sent, s.ResolverHost.ICMPSuppressed)
+	}
+}
+
 // TestTrainAllocsIndependentOfLength pins what makes a flood cheap: a
 // train is one scheduled delivery that rewrites one pooled buffer per
 // datagram, so on a warmed world a 65,536-datagram train to a bound

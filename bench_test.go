@@ -12,6 +12,7 @@ package crosslayer_test
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 	"runtime"
@@ -25,6 +26,7 @@ import (
 	"crosslayer/internal/dnswire"
 	"crosslayer/internal/ipfrag"
 	"crosslayer/internal/measure"
+	"crosslayer/internal/netsim"
 	"crosslayer/internal/packet"
 	"crosslayer/internal/scenario"
 	"crosslayer/internal/sim"
@@ -460,6 +462,36 @@ func BenchmarkSadDNSPortScanWindow(b *testing.B) {
 		}
 		s.Attacker.SendUDP(777, scenario.ResolverIP, 700, []byte("verify"))
 		s.Net.Run()
+	}
+}
+
+// BenchmarkTXIDFlood measures netsim's per-datagram receive path on
+// SadDNS's TXID flood (§3.2): one 65,536-datagram train of spoofed
+// responses at an open port, whose handler rejects every ID until the
+// one at which it closes the port, as a resolver's query ends while
+// the flood goes on. Each later datagram finds the port closed: it
+// draws an ICMP error while the host's global ICMP budget lasts and is
+// suppressed after that.
+func BenchmarkTXIDFlood(b *testing.B) {
+	const port, closeAt = 40000, 1 << 14
+	s := scenario.New(scenario.Config{Seed: 11})
+	payload := make([]byte, 64)
+	rejected := 0
+	handler := func(dg netsim.Datagram) {
+		if binary.BigEndian.Uint16(dg.Payload) == closeAt {
+			s.ResolverHost.CloseUDP(port)
+			return
+		}
+		rejected++
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s.ResolverHost.BindUDP(port, handler)
+		s.Attacker.SendUDPTrain(scenario.NSIP, 53, scenario.ResolverIP, port, payload, 1<<16)
+		s.Net.Run()
+	}
+	if rejected != b.N*closeAt {
+		b.Fatalf("%d datagrams rejected at the open port in %d floods, want %d each", rejected, b.N, closeAt)
 	}
 }
 

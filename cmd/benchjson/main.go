@@ -14,8 +14,8 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench . -benchtime=3x -cpu 2 -count=3 . | benchjson > BENCH_ci.json
-//	benchjson -compare -tolerance 40 BENCH_9.json BENCH_ci.json
+//	go test -run '^$' -bench . -benchtime=1s -cpu 2 -count=3 . | benchjson > BENCH_ci.json
+//	benchjson -compare -tolerance 40 BENCH_10.json BENCH_ci.json
 package main
 
 import (
@@ -221,7 +221,7 @@ func Compare(baseline string, oldRes, newRes []Result, tolerancePct float64) (st
 	}
 	if breach {
 		fmt.Fprintf(&b, "\nIf the change is intended, refresh the baseline:\n")
-		fmt.Fprintf(&b, "  go test -run '^$' -bench . -benchtime=3x -cpu 2 -count=3 . | go run ./cmd/benchjson > %s\n", baseline)
+		fmt.Fprintf(&b, "  go test -run '^$' -bench . -benchtime=1s -cpu 2 -count=3 . | go run ./cmd/benchjson > %s\n", baseline)
 	}
 	return b.String(), breach
 }

@@ -49,7 +49,7 @@ func TestCompareBreach(t *testing.T) {
 	if !breach {
 		t.Fatalf("2x slowdown passed a 15%% gate:\n%s", table)
 	}
-	for _, want := range []string{"BREACH", "+100.0%", "7→9", "refresh the baseline", "-cpu 2", "-count=3 . | go run ./cmd/benchjson > BENCH_9.json"} {
+	for _, want := range []string{"BREACH", "+100.0%", "7→9", "refresh the baseline", "-benchtime=1s -cpu 2 -count=3 . | go run ./cmd/benchjson > BENCH_9.json"} {
 		if !strings.Contains(table, want) {
 			t.Errorf("table missing %q:\n%s", want, table)
 		}

@@ -144,7 +144,7 @@ func (a *FragDNS) sendPTB() {
 		ID: 1, TTL: 64, Protocol: packet.ProtoUDP,
 		Src: a.NSAddr, Dst: a.ResolverAddr, Payload: make([]byte, 16),
 	}
-	quote, err := packet.QuoteDatagram(quoted)
+	quote, err := packet.QuoteDatagram(nil, quoted)
 	if err != nil {
 		return
 	}

@@ -244,7 +244,7 @@ func scanPMTUD(f *DomainFleet, d *SimDomain) (minSize int, fragmented bool) {
 	// server clamps to its own floor.
 	quoted := &packet.IPv4{ID: 1, TTL: 64, Protocol: packet.ProtoUDP,
 		Src: d.NSHost.Addr, Dst: f.Prober.Addr, Payload: make([]byte, 16)}
-	quote, err := packet.QuoteDatagram(quoted)
+	quote, err := packet.QuoteDatagram(nil, quoted)
 	if err != nil {
 		return 0, false
 	}

@@ -86,12 +86,15 @@ func DefaultHostConfig() HostConfig {
 	}
 }
 
-// Datagram is a received UDP payload with its addressing. Payload is
-// only valid for the duration of the handler call, and read-only: the
-// network owns the buffer, recycles it afterwards, and a train
-// rewrites it in place for its next datagram. A handler that needs the
-// bytes beyond its own return must copy them (keeping the Datagram
-// struct itself, e.g. to read Src/SrcPort later, is fine).
+// Datagram is a received UDP payload with its source address and
+// port. The destination is the handler's own: the receiving host's
+// Addr and the port the handler was bound to. The struct is nine
+// words, which the register ABI passes to a handler in registers.
+// Payload is only valid for the duration of the handler call, and
+// read-only: the network owns the buffer, recycles it afterwards, and
+// a train rewrites it in place for its next datagram. A handler that
+// needs the bytes beyond its own return must copy them (keeping the
+// Datagram struct itself, e.g. to read Src/SrcPort later, is fine).
 //
 // Train numbers the delivery the datagram arrived in; it is never 0
 // and never repeats within a network, Reset included. Datagrams that
@@ -110,8 +113,6 @@ func DefaultHostConfig() HostConfig {
 type Datagram struct {
 	Src     netip.Addr
 	SrcPort uint16
-	Dst     netip.Addr
-	DstPort uint16
 	Payload []byte
 	Train   uint64
 	More    bool
@@ -141,12 +142,24 @@ type Host struct {
 	frag         *ipfrag.Cache
 	pmtu         map[netip.Addr]int
 
+	// lastPort and lastHandler are receiveUDP's last udpPorts lookup,
+	// a closed port's nil included, while hasLast is set. BindUDP,
+	// CloseUDP and reset are the only writers of udpPorts. Each clears
+	// hasLast, so a cached result is always what the map holds, and
+	// lastHandler, so a released handler is not kept alive.
+	lastPort    uint16
+	hasLast     bool
+	lastHandler UDPHandler
+
 	ipidGlobal  uint16
 	ipidPerDest map[netip.Addr]uint16
 
 	icmpBucket float64
 	icmpWindow time.Duration
 	icmpPerIP  map[netip.Addr]*bucketState
+	// icmpAt is takeICMPToken's last window index with the instant and
+	// the bucket parameters it was computed from.
+	icmpAt windowAt
 
 	// Counters.
 	Sent, Received    uint64
@@ -162,6 +175,16 @@ type Host struct {
 type bucketState struct {
 	tokens float64
 	window time.Duration
+}
+
+// windowAt is the index of the rate-limit window that holds instant at
+// under the given ICMPBurst and ICMPRate. It is a pure function of the
+// three, so it never needs dropping, and its zero value is already
+// right: time 0 lies in window 0 whatever the window length.
+type windowAt struct {
+	at, index time.Duration
+	burst     int
+	rate      float64
 }
 
 // hostSnap is the part of a host's state that the build phase sets and
@@ -218,6 +241,7 @@ func (h *Host) reset() {
 		panic("netsim: Host.reset without Snapshot")
 	}
 	h.Cfg = s.cfg
+	h.hasLast, h.lastHandler = false, nil
 	clear(h.udpPorts)
 	for p, fn := range s.udpPorts {
 		h.udpPorts[p] = fn
@@ -286,21 +310,51 @@ func (h *Host) FragCache() *ipfrag.Cache { return h.frag }
 
 // --- socket API ---
 
-// BindUDP installs a handler for a UDP port. Binding port 0 picks an
-// ephemeral port per the host's configuration and returns it.
+// BindUDP installs a handler for a UDP port, replacing any handler
+// bound there; from the next datagram on, the port's traffic goes to
+// fn, also within a train that is being delivered. Binding port 0
+// draws ephemeral ports per the host's configuration until one is
+// free, and returns it; it panics when every port EphemeralPort can
+// draw is bound.
 func (h *Host) BindUDP(port uint16, fn UDPHandler) uint16 {
 	if port == 0 {
 		port = h.EphemeralPort()
-		for h.udpPorts[port] != nil {
-			port = h.EphemeralPort()
+		if h.udpPorts[port] != nil {
+			h.checkEphemeralFree()
+			for h.udpPorts[port] != nil {
+				port = h.EphemeralPort()
+			}
 		}
 	}
 	h.udpPorts[port] = fn
+	h.hasLast, h.lastHandler = false, nil
 	return port
 }
 
-// CloseUDP releases a bound port.
-func (h *Host) CloseUDP(port uint16) { delete(h.udpPorts, port) }
+// checkEphemeralFree panics unless EphemeralPort can still draw an
+// unbound port: the range's first port with RandomizePorts off, any
+// port of the range otherwise.
+func (h *Host) checkEphemeralFree() {
+	lo, hi := int(h.Cfg.PortMin), int(h.Cfg.PortMax)
+	if !h.Cfg.RandomizePorts {
+		hi = lo
+	}
+	for p := lo; p <= hi; p++ {
+		if h.udpPorts[uint16(p)] == nil {
+			return
+		}
+	}
+	panic(fmt.Sprintf("netsim: BindUDP(0) on host %s: every ephemeral port in %d-%d is bound (RandomizePorts %v)",
+		h.Name, lo, hi, h.Cfg.RandomizePorts))
+}
+
+// CloseUDP releases a bound port; from the next datagram on, the
+// port's traffic draws ICMP errors, also within a train that is being
+// delivered.
+func (h *Host) CloseUDP(port uint16) {
+	delete(h.udpPorts, port)
+	h.hasLast, h.lastHandler = false, nil
+}
 
 // EphemeralPort draws a source port from the configured range; with
 // RandomizePorts off the lowest port of the range is always used.
@@ -508,7 +562,9 @@ func (h *Host) receive(ip *packet.IPv4, more bool) {
 // checksum valid, so once the delivery's first datagram passed
 // (Network.verified holds its Train) the rest are taken as verified.
 // Raw sends, fragments and reassembled datagrams are deliveries of one,
-// so each is verified.
+// so each is verified. The port's handler, or its absence, comes from
+// the last lookup while the port is the last one looked up (see
+// lastHandler): a flood hits one port datagram after datagram.
 func (h *Host) receiveUDP(ip *packet.IPv4, more bool) {
 	n := h.net
 	var u packet.UDP
@@ -516,13 +572,17 @@ func (h *Host) receiveUDP(ip *packet.IPv4, more bool) {
 		return // bad checksum: silently dropped, like real stacks
 	}
 	n.verified = n.train
-	handler := h.udpPorts[u.DstPort]
+	handler := h.lastHandler
+	if !h.hasLast || h.lastPort != u.DstPort {
+		handler = h.udpPorts[u.DstPort]
+		h.lastPort, h.lastHandler, h.hasLast = u.DstPort, handler, true
+	}
 	if handler == nil {
 		h.maybeSendPortUnreachable(ip)
 		return
 	}
 	h.UDPDeliveredLocal++
-	handler(Datagram{Src: ip.Src, SrcPort: u.SrcPort, Dst: ip.Dst, DstPort: u.DstPort, Payload: u.Payload, Train: n.train, More: more})
+	handler(Datagram{Src: ip.Src, SrcPort: u.SrcPort, Payload: u.Payload, Train: n.train, More: more})
 }
 
 func (h *Host) receiveICMP(ip *packet.IPv4) {
@@ -557,16 +617,19 @@ func (h *Host) receiveICMP(ip *packet.IPv4) {
 
 // maybeSendPortUnreachable generates the ICMP error for a closed UDP
 // port, subject to the host's rate-limit architecture. This is the
-// SadDNS oracle.
+// SadDNS oracle. The quote is built in the network's scratch buffer,
+// which is free again once SendICMP returns: the send copies the
+// message into a pooled buffer and never delivers it synchronously.
 func (h *Host) maybeSendPortUnreachable(ip *packet.IPv4) {
 	if !h.takeICMPToken(ip.Src) {
 		h.ICMPSuppressed++
 		return
 	}
-	quote, err := packet.QuoteDatagram(ip)
+	quote, err := packet.QuoteDatagram(h.net.quote[:0], ip)
 	if err != nil {
 		return
 	}
+	h.net.quote = quote
 	h.ICMPSent++
 	h.SendICMP(ip.Src, &packet.ICMP{
 		Type: packet.ICMPTypeDestUnreach, Code: packet.ICMPCodePortUnreach, Payload: quote,
@@ -591,7 +654,13 @@ func (h *Host) ICMPWindow() time.Duration {
 // window, exhausting the quota with spoofed probes makes the host
 // silent to everyone — the side channel.
 func (h *Host) takeICMPToken(src netip.Addr) bool {
-	window := h.net.Clock.Now() / h.ICMPWindow()
+	// A flood's datagrams arrive at one instant: compute its window
+	// index once.
+	w, now := &h.icmpAt, h.net.Clock.Now()
+	if w.at != now || w.burst != h.Cfg.ICMPBurst || w.rate != h.Cfg.ICMPRate {
+		*w = windowAt{at: now, index: now / h.ICMPWindow(), burst: h.Cfg.ICMPBurst, rate: h.Cfg.ICMPRate}
+	}
+	window := w.index
 	switch h.Cfg.ICMPLimitMode {
 	case ICMPLimitNone:
 		return true

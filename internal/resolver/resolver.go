@@ -285,7 +285,7 @@ func (r *Resolver) startQuery(key cacheKey, depth int, cbs ...Callback) {
 		return
 	}
 	inf := &inflight{r: r, key: key, zone: zone, servers: servers, depth: depth, cbs: cbs}
-	inf.recv = func(dg netsim.Datagram) { r.handleUpstream(inf, dg) }
+	inf.recv = func(dg netsim.Datagram) { r.handleUpstream(inf, dg.Src, dg.SrcPort, dg.Payload) }
 	r.inflight[key] = inf
 	r.sendAttempt(inf)
 }
@@ -421,7 +421,11 @@ func (r *Resolver) onTimeout(inf *inflight, attempt int) {
 	r.sendAttempt(inf)
 }
 
-func (r *Resolver) handleUpstream(inf *inflight, dg netsim.Datagram) {
+// handleUpstream takes the three fields of a Datagram it reads rather
+// than the Datagram: with the resolver and the inflight that is nine
+// words, which the register ABI passes in registers, where a whole
+// Datagram would be copied to the stack for each datagram of a flood.
+func (r *Resolver) handleUpstream(inf *inflight, src netip.Addr, srcPort uint16, payload []byte) {
 	// One handler serves every attempt of the resolution: a port is
 	// always closed before attempt advances, so a delivery can only
 	// reach the binding of the current attempt.
@@ -430,7 +434,7 @@ func (r *Resolver) handleUpstream(inf *inflight, dg netsim.Datagram) {
 	}
 	// Address/port check: the response must come from the server we
 	// asked (RFC 5452 §3).
-	if dg.Src != inf.ns || dg.SrcPort != 53 {
+	if src != inf.ns || srcPort != 53 {
 		r.SpoofRejected++
 		return
 	}
@@ -439,11 +443,11 @@ func (r *Resolver) handleUpstream(inf *inflight, dg netsim.Datagram) {
 	// unparseable both count as SpoofRejected), so bailing on the raw
 	// header bytes is observationally identical and skips the parse on
 	// the attacker's ~64k wrong guesses per poisoning window.
-	if len(dg.Payload) < 2 || binary.BigEndian.Uint16(dg.Payload) != inf.txid {
+	if len(payload) < 2 || binary.BigEndian.Uint16(payload) != inf.txid {
 		r.SpoofRejected++
 		return
 	}
-	msg, err := dnswire.Unpack(dg.Payload)
+	msg, err := dnswire.Unpack(payload)
 	if err != nil {
 		r.SpoofRejected++
 		return
