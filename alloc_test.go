@@ -144,6 +144,68 @@ func TestClosedPortProbeZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestDeliveredICMPErrorZeroAllocs pins the other half of the ICMP
+// error path: a probe from the attacker's own address to a closed port
+// draws an error that is delivered back to the attacker's OnICMP
+// observer. The receiver decodes it into the network's reused message
+// and recycles its buffer, so on a warmed world the round allocates
+// nothing.
+func TestDeliveredICMPErrorZeroAllocs(t *testing.T) {
+	s := scenario.New(scenario.Config{Seed: 42})
+	errs := 0
+	s.Attacker.OnICMP(func(src netip.Addr, msg *packet.ICMP) {
+		if src == scenario.ResolverIP && msg.IsPortUnreachable() {
+			errs++
+		}
+	})
+	payload := make([]byte, 64)
+	round := func() {
+		s.Attacker.SendUDP(777, scenario.ResolverIP, 999, payload)
+		s.Net.Run()
+	}
+	for i := 0; i < 10; i++ {
+		round() // warm pools, freelists and the quote buffer
+	}
+	errs = 0
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Fatalf("probe whose ICMP error is delivered: %v allocs/op, want 0", allocs)
+	}
+	if errs < 100 {
+		t.Fatalf("%d ICMP errors observed, want one per probe", errs)
+	}
+}
+
+// TestScanWindowZeroAllocs pins a SadDNS side-channel window (§3.2) on
+// a warmed world: 50 probes to closed ports, spoofed from the
+// nameserver as one SendUDPScan, spend the resolver's ICMP budget on
+// errors delivered to the nameserver, and the verification probe from
+// the attacker's own address is suppressed. Each round lasts one
+// rate-limit window, so each starts with a full budget.
+func TestScanWindowZeroAllocs(t *testing.T) {
+	s := scenario.New(scenario.Config{Seed: 42})
+	ports := make([]uint16, 50)
+	for i := range ports {
+		ports[i] = 1000 + uint16(i)
+	}
+	probe, verify := []byte("probe"), []byte("verify")
+	round := func() {
+		s.Attacker.SendUDPScan(scenario.NSIP, 53, scenario.ResolverIP, ports, probe)
+		s.Attacker.SendUDP(777, scenario.ResolverIP, 700, verify)
+		s.Net.RunFor(s.ResolverHost.ICMPWindow())
+	}
+	for i := 0; i < 10; i++ {
+		round() // warm pools, freelists and the quote buffer
+	}
+	sent, suppressed := s.ResolverHost.ICMPSent, s.ResolverHost.ICMPSuppressed
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Fatalf("50-probe scan window: %v allocs/op, want 0", allocs)
+	}
+	// AllocsPerRun runs the round once more before it counts.
+	if d, q := s.ResolverHost.ICMPSent-sent, s.ResolverHost.ICMPSuppressed-suppressed; d != 101*50 || q != 101 {
+		t.Fatalf("%d ICMP errors sent and %d suppressed in 101 windows, want 50 and 1 each", d, q)
+	}
+}
+
 // TestTrainAllocsIndependentOfLength pins what makes a flood cheap: a
 // train is one scheduled delivery that rewrites one pooled buffer per
 // datagram, so on a warmed world a 65,536-datagram train to a bound

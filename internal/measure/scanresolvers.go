@@ -135,11 +135,14 @@ func scanSadDNS(f *ResolverFleet, sr *SimResolver) bool {
 			verified = true
 		}
 	})
-	// 50 spoofed probes (source = test NS) to closed low ports, then
-	// the verification probe, all within one window (FIFO ordering).
-	for p := uint16(700); p < 750; p++ {
-		f.Prober.SendUDPSpoofed(f.TestNS.Addr, 53, target, p, []byte("probe"))
+	// 50 spoofed probes (source = test NS) to closed low ports, as one
+	// scan, then the verification probe, all within one window (FIFO
+	// ordering).
+	var ports [50]uint16
+	for i := range ports {
+		ports[i] = 700 + uint16(i)
 	}
+	f.Prober.SendUDPScan(f.TestNS.Addr, 53, target, ports[:], []byte("probe"))
 	f.Prober.SendUDP(999, target, 751, []byte("verify"))
 	f.Net.RunFor(4 * f.Net.Latency())
 	f.Prober.OnICMP(nil)

@@ -110,6 +110,10 @@ func DefaultHostConfig() HostConfig {
 // More is true when another datagram of the same delivery follows this
 // one: a handler that defers work to the end of a train (such as
 // answering it with one train of replies) does it when More is false.
+//
+// A datagram of a SendUDPScan is a delivery of its own, as a separate
+// send would be: it has a Train no other datagram shares and More
+// false, although the scan travels as one delivery node.
 type Datagram struct {
 	Src     netip.Addr
 	SrcPort uint16
@@ -121,7 +125,10 @@ type Datagram struct {
 // UDPHandler consumes datagrams delivered to a bound port.
 type UDPHandler func(dg Datagram)
 
-// ICMPHandler observes ICMP messages delivered to the host.
+// ICMPHandler observes ICMP messages delivered to the host. msg and
+// msg.Payload are valid only during the call: the network decodes every
+// message into one reused struct and recycles the payload's buffer
+// afterwards. A handler that needs either later copies it.
 type ICMPHandler func(src netip.Addr, msg *packet.ICMP)
 
 // Host is one simulated machine.
@@ -366,7 +373,8 @@ func (h *Host) EphemeralPort() uint16 {
 	return h.Cfg.PortMin + uint16(h.rng.Intn(span))
 }
 
-// OnICMP installs an observer for ICMP messages addressed to the host.
+// OnICMP installs an observer for ICMP messages addressed to the host;
+// see ICMPHandler for how long a message stays valid.
 func (h *Host) OnICMP(fn ICMPHandler) { h.onICMP = fn }
 
 // OnRaw installs a packet-capture observer seeing every IP packet the
@@ -433,7 +441,7 @@ func (h *Host) SendUDP(srcPort uint16, dst netip.Addr, dstPort uint16, payload [
 // immediately reuse it.
 func (h *Host) SendUDPSpoofed(src netip.Addr, srcPort uint16, dst netip.Addr, dstPort uint16, payload []byte) {
 	ip := h.udpPacket(src, srcPort, dst, dstPort, payload)
-	h.sendUDP(&ip, 1)
+	h.sendUDP(&ip, 1, nil)
 }
 
 // SendUDPTrain sends n UDP datagrams, from any source address, that
@@ -459,7 +467,28 @@ func (h *Host) SendUDPTrain(src netip.Addr, srcPort uint16, dst netip.Addr, dstP
 		return
 	}
 	ip := h.udpPacket(src, srcPort, dst, dstPort, payload)
-	h.sendUDP(&ip, n)
+	h.sendUDP(&ip, n, nil)
+}
+
+// SendUDPScan sends one UDP datagram to each of ports, in order, from
+// any source address and all with the same payload: a port scan, such
+// as a window of SadDNS probes (§3.2). A scan is observably len(ports)
+// SendUDPSpoofed calls — the same IP-IDs, loss draws, counters, Trace
+// events and handler calls, in the same order — and unlike a train's,
+// each of its datagrams is a delivery of its own to the receiver: its
+// own Datagram.Train, More false, its checksum verified. It costs one
+// serialization and one egress and route decision and, lossless, one
+// scheduled delivery, which holds its own copy of ports and rewrites
+// the destination port per datagram (packet.SetUDPDstPort) when it
+// fires, so the caller may reuse ports and payload at once. A loss
+// splits the scan into several deliveries, and datagrams larger than
+// the path MTU leave one at a time, as fragments.
+func (h *Host) SendUDPScan(src netip.Addr, srcPort uint16, dst netip.Addr, ports []uint16, payload []byte) {
+	if len(ports) == 0 {
+		return
+	}
+	ip := h.udpPacket(src, srcPort, dst, ports[0], payload)
+	h.sendUDP(&ip, len(ports), ports)
 }
 
 // udpPacket serializes a UDP datagram into a pooled buffer and wraps
@@ -474,21 +503,22 @@ func (h *Host) udpPacket(src netip.Addr, srcPort uint16, dst netip.Addr, dstPort
 }
 
 // sendUDP sends count datagrams built from ip, whose pooled payload it
-// takes over (see Network.send for how datagram k differs from ip).
-// Datagrams that fit the learned path MTU go to the network whole, as
-// one train; larger ones are fragmented one datagram at a time.
-// Fragments alias the parent payload, so they are sent unowned
-// (copied) and the parent buffer is recycled afterwards.
-func (h *Host) sendUDP(ip *packet.IPv4, count int) {
+// takes over: a train, or a scan of ports (see Network.send for how
+// datagram k differs from ip). Datagrams that fit the learned path MTU
+// go to the network whole, as one train or scan; larger ones are
+// fragmented one datagram at a time. Fragments alias the parent
+// payload, so they are sent unowned (copied) and the parent buffer is
+// recycled afterwards.
+func (h *Host) sendUDP(ip *packet.IPv4, count int, ports []uint16) {
 	mtu := h.PMTUTo(ip.Dst)
 	if ip.TotalLen() <= mtu {
-		h.net.send(h, ip, true, count)
+		h.net.send(h, ip, true, count, ports)
 		return
 	}
 	for k := 0; k < count; k++ {
 		if k > 0 {
 			ip.ID = h.NextIPID(ip.Dst)
-			nextPayloadID(ip.Payload)
+			nextDatagram(ip.Payload, ports, k)
 		}
 		frags, err := ip.Fragment(mtu)
 		if err != nil {
@@ -500,7 +530,7 @@ func (h *Host) sendUDP(ip *packet.IPv4, count int) {
 			continue
 		}
 		for _, f := range frags {
-			h.net.send(h, f, false, 1)
+			h.net.send(h, f, false, 1, nil)
 		}
 	}
 	h.net.wirep.Put(ip.Payload)
@@ -523,7 +553,7 @@ func (h *Host) SendICMPSpoofed(src, dst netip.Addr, msg *packet.ICMP) {
 		panic(fmt.Sprintf("netsim: icmp serialize: %v", err))
 	}
 	ip := packet.IPv4{ID: h.NextIPID(dst), TTL: 64, Protocol: packet.ProtoICMP, Src: src, Dst: dst, Payload: wire}
-	h.net.send(h, &ip, true, 1)
+	h.net.send(h, &ip, true, 1, nil)
 }
 
 // Ping sends an ICMP echo request.
@@ -585,9 +615,12 @@ func (h *Host) receiveUDP(ip *packet.IPv4, more bool) {
 	handler(Datagram{Src: ip.Src, SrcPort: u.SrcPort, Payload: u.Payload, Train: n.train, More: more})
 }
 
+// receiveICMP decodes an ICMP message into the network's reused
+// struct, answers echoes, learns path MTUs and hands the message to the
+// host's observer.
 func (h *Host) receiveICMP(ip *packet.IPv4) {
-	msg, err := packet.DecodeICMP(ip.Payload)
-	if err != nil {
+	msg := &h.net.icmp
+	if err := packet.DecodeICMPInto(msg, ip.Payload); err != nil {
 		return
 	}
 	switch {

@@ -68,8 +68,10 @@ type Network struct {
 	// verified is the train whose checksum receiveUDP last verified.
 	train, verified uint64
 	// quote is maybeSendPortUnreachable's scratch for the quoted
-	// datagram of an ICMP error.
+	// datagram of an ICMP error, and icmp the message receiveICMP
+	// decodes each delivered ICMP packet into.
 	quote []byte
+	icmp  packet.ICMP
 
 	// Counters. Offered counts every datagram or fragment handed to
 	// the network, and the datagrams a sender drops for want of a
@@ -147,17 +149,17 @@ func (p *DeliveryPool) Retained() int { return len(p.free) }
 // Trim drops pooled delivery nodes until at most n remain — the
 // retention bound a resident process applies between jobs, mirroring
 // pool.Wire.Trim. The kept nodes move to an exact-fit backing array
-// and drop their IP-ID lists, which leaves them uniform-sized, so a
-// trimmed pool holds O(n) bytes however large the flood that warmed
-// it. Trim(0) empties the pool; it never affects correctness, only
-// what the next simulation must re-allocate.
+// and drop their IP-ID and port lists, which leaves them uniform-sized,
+// so a trimmed pool holds O(n) bytes however large the flood or scan
+// that warmed it. Trim(0) empties the pool; it never affects
+// correctness, only what the next simulation must re-allocate.
 func (p *DeliveryPool) Trim(n int) {
 	if cap(p.free) > n {
 		k := max(0, min(len(p.free), n))
 		p.free = append(make([]*delivery, 0, k), p.free[:k]...)
 	}
 	for _, d := range p.free {
-		d.ids = nil
+		d.ids, d.ports = nil, nil
 	}
 }
 
@@ -296,22 +298,25 @@ func (n *Network) Reset(seed int64) {
 	n.Dropped = 0
 }
 
-// delivery is one scheduled train of datagrams: a pre-allocated clock
-// Action, so scheduling a delivery allocates neither a closure nor (at
-// steady state, thanks to the freelist) the node itself. ip is the
-// train's first datagram; datagram k of the train is ip with its
-// payload's ID word (see Network.send) advanced by k and IP-ID ids[k],
-// or ip.ID+k when ids is empty: the list is filled only once the
-// sender's IP-IDs stop counting up (a random-IP-ID sender), and stays
-// with the node through the freelist. An ordinary send is a train of
-// one. ip.Payload is always backed by the network's wire pool; whether
-// it may be recycled after delivery is decided per path in deliver.
+// delivery is one scheduled train or scan of datagrams: a
+// pre-allocated clock Action, so scheduling a delivery allocates
+// neither a closure nor (at steady state, thanks to the freelist) the
+// node itself. ip is the first datagram; datagram k is ip with IP-ID
+// ids[k], or ip.ID+k when ids is empty, and, for a scan, destination
+// port ports[k], otherwise its payload's ID word (see Network.send)
+// advanced by k. ids is filled only once the sender's IP-IDs stop
+// counting up (a random-IP-ID sender); ports is the node's own copy of
+// a scan's ports and empty for a train. Both lists stay with the node
+// through the freelist. An ordinary send is a train of one. ip.Payload
+// is always backed by the network's wire pool; whether it may be
+// recycled after delivery is decided per path in deliver.
 type delivery struct {
 	n      *Network
 	origin bgp.ASN
 	ip     packet.IPv4
 	count  int
 	ids    []uint16
+	ports  []uint16
 }
 
 func (n *Network) allocDelivery() *delivery {
@@ -327,7 +332,7 @@ func (n *Network) allocDelivery() *delivery {
 
 func (n *Network) recycleDelivery(d *delivery) {
 	d.ip = packet.IPv4{}
-	d.ids = d.ids[:0]
+	d.ids, d.ports = d.ids[:0], d.ports[:0]
 	n.delivp.free = append(n.delivp.free, d)
 }
 
@@ -336,25 +341,27 @@ func (n *Network) recycleDelivery(d *delivery) {
 // no route, no receiving host and no interceptor). The payload is
 // copied before Send returns, so the caller may immediately reuse it.
 func (n *Network) Send(from *Host, ip *packet.IPv4) {
-	n.send(from, ip, false, 1)
+	n.send(from, ip, false, 1, nil)
 }
 
 // send hands count datagrams to the network. ip is the first; with
-// count > 1 it must be UDP, and datagram k is ip with the first word of
-// its UDP payload (the DNS ID) advanced by k and the sender's next
-// IP-ID — a train. Egress filtering, route and latency are resolved
-// once; the IP-ID draw, Sent and the loss draw stay per datagram, as
-// count separate sends would make them. Surviving datagrams share one
-// scheduled delivery, which lists their IP-IDs if they do not count
-// up; only a loss starts the next, so the nodes hold exactly the place
-// in the timestamp bucket that count separate deliveries would.
+// count > 1 it must be UDP, and datagram k is ip with the sender's next
+// IP-ID and either the first word of its UDP payload (the DNS ID)
+// advanced by k — a train — or, when ports is not empty, destination
+// port ports[k] — a scan, with len(ports) == count. Egress filtering,
+// route and latency are resolved once; the IP-ID draw, Sent and the
+// loss draw stay per datagram, as count separate sends would make them.
+// Surviving datagrams share one scheduled delivery, which lists their
+// IP-IDs if they do not count up and copies a scan's ports; only a
+// loss starts the next, so the nodes hold exactly the place in the
+// timestamp bucket that count separate deliveries would.
 //
 // owned means ip.Payload was taken from n.wirep by the caller and
 // responsibility for returning it passes to the network (recycled on
 // drop, handed to the first delivery otherwise). Every other delivery
 // copies it into a pooled buffer, which is what preserves Send's
 // caller-may-reuse contract.
-func (n *Network) send(from *Host, ip *packet.IPv4, owned bool, count int) {
+func (n *Network) send(from *Host, ip *packet.IPv4, owned bool, count int, ports []uint16) {
 	n.Offered += uint64(count)
 	// Egress filtering: a spoofed source only escapes ASes that do not
 	// filter.
@@ -372,7 +379,7 @@ func (n *Network) send(from *Host, ip *packet.IPv4, owned bool, count int) {
 	latency := n.latencyBetween(from.ASN, origin)
 	var d *delivery
 	var firstID uint16 // the train's first payload ID, read before a node may own the buffer
-	if count > 1 {
+	if count > 1 && len(ports) == 0 {
 		firstID = binary.BigEndian.Uint16(ip.Payload[packet.UDPHeaderLen:])
 	}
 	for k := 0; k < count; k++ {
@@ -396,6 +403,9 @@ func (n *Network) send(from *Host, ip *packet.IPv4, owned bool, count int) {
 			if len(d.ids) > 0 {
 				d.ids = append(d.ids, id)
 			}
+			if len(ports) > 0 {
+				d.ports = append(d.ports, ports[k])
+			}
 			d.count++
 			continue
 		}
@@ -409,7 +419,13 @@ func (n *Network) send(from *Host, ip *packet.IPv4, owned bool, count int) {
 		} else {
 			d.ip.Payload = append(n.wirep.Get(len(ip.Payload)), ip.Payload...)
 		}
-		if k > 0 {
+		switch {
+		case len(ports) > 0:
+			d.ports = append(d.ports, ports[k])
+			if k > 0 {
+				packet.SetUDPDstPort(d.ip.Payload, ports[k])
+			}
+		case k > 0:
 			packet.SetUDPPayloadID(d.ip.Payload, firstID+uint16(k))
 		}
 		n.Clock.AfterAction(latency, d)
@@ -419,16 +435,18 @@ func (n *Network) send(from *Host, ip *packet.IPv4, owned bool, count int) {
 	}
 }
 
-// Fire delivers the train's datagrams in order, each exactly as its
+// Fire delivers the node's datagrams in order, each exactly as its
 // own delivery would be: counters, Trace and the receiver's whole
-// receive path (port lookup, ICMP budget, handler) stay per datagram;
-// only the checksum is verified once per delivery (see receiveUDP).
+// receive path (port lookup, ICMP budget, handler) stay per datagram.
 // Between datagrams the one payload buffer is rewritten in place —
-// IP-ID (counted up, or the next from ids), ID word and an O(1)
-// checksum update — which is safe because a UDP handler may not keep
-// or modify Payload past its return. Every datagram of the train
-// carries the same Datagram.Train, a number no other delivery gets,
-// and all but the last Datagram.More.
+// IP-ID (counted up, or the next from ids), the ID word or destination
+// port, and an O(1) checksum update — which is safe because a UDP
+// handler may not keep or modify Payload past its return. Every
+// datagram of a train carries the same Datagram.Train, a number no
+// other delivery gets, and all but the last Datagram.More, and its
+// checksum is verified once (see receiveUDP). A scan's datagrams go to
+// different sockets, so each gets a Train of its own and no More, as
+// separate deliveries would, and each is verified.
 func (d *delivery) Fire() {
 	d.n.train++
 	dst := d.n.hosts[d.ip.Dst]
@@ -442,29 +460,39 @@ func (d *delivery) Fire() {
 		} else {
 			d.ip.ID++
 		}
-		nextPayloadID(d.ip.Payload)
+		if len(d.ports) > 0 {
+			d.n.train++
+		}
+		nextDatagram(d.ip.Payload, d.ports, k)
 	}
 	d.deliver(dst, false)
 }
 
-// nextPayloadID advances the ID word of a serialized UDP datagram's
-// payload by one, wrapping after 0xffff.
-func nextPayloadID(wire []byte) {
+// nextDatagram rewrites the serialized UDP datagram in wire, datagram
+// k-1 of a train or scan, into datagram k: destination port ports[k]
+// for a scan, otherwise the payload's ID word advanced by one,
+// wrapping after 0xffff.
+func nextDatagram(wire []byte, ports []uint16, k int) {
+	if len(ports) > 0 {
+		packet.SetUDPDstPort(wire, ports[k])
+		return
+	}
 	packet.SetUDPPayloadID(wire, binary.BigEndian.Uint16(wire[packet.UDPHeaderLen:])+1)
 }
 
 // deliver hands the datagram in d.ip to dst, or, when the route ended
 // in an AS without that host (dst nil), to a hijacker's interceptor,
-// or drops it. more means the train rewrites d.ip for another datagram
-// afterwards (the receiver sees it as Datagram.More), so a hook that
-// may keep the packet (OnRaw, Interceptor) gets its own copy. After
-// the last datagram the payload buffer and the node go back to their
-// freelists only on paths where no reference can outlive the call — a
-// plain (non-fragment) UDP or ICMP delivery to a host without a
-// raw-capture hook, or a drop nobody observed. Fragments are retained
-// by the defrag cache, hooks may keep the *IPv4, and ICMP handlers may
-// keep the decoded message (which aliases the payload), so those paths
-// leak to the GC — recycling is an optimisation, never an obligation.
+// or drops it. more means the node rewrites d.ip for another datagram
+// afterwards, so a hook that may keep the packet (OnRaw, Interceptor)
+// gets its own copy; the receiver sees it as Datagram.More, except in
+// a scan, whose datagrams are deliveries of their own. After the last
+// datagram the payload buffer and the node go back to their freelists
+// only on paths where no reference can outlive the call — a plain
+// (non-fragment) delivery to a host without a raw-capture hook, whose
+// UDP and ICMP handlers may not keep what they are handed, or a drop
+// nobody observed. Fragments are retained by the defrag cache and
+// hooks may keep the *IPv4, so those paths leak to the GC — recycling
+// is an optimisation, never an obligation.
 func (d *delivery) deliver(dst *Host, more bool) {
 	n := d.n
 	ip := &d.ip
@@ -473,16 +501,15 @@ func (d *delivery) deliver(dst *Host, more bool) {
 		if n.Trace != nil {
 			n.Trace(TraceEvent{At: n.Clock.Now(), From: ip.Src, To: ip.Dst, Proto: ip.Protocol, Size: len(ip.Payload)})
 		}
+		follows := more && len(d.ports) == 0
 		safe := dst.onRaw == nil && !ip.IsFragment()
 		if more && !safe {
-			dst.receive(n.detach(ip), true)
+			dst.receive(n.detach(ip), follows)
 			return
 		}
-		dst.receive(ip, more)
+		dst.receive(ip, follows)
 		if !more && safe {
-			if ip.Protocol == packet.ProtoUDP {
-				n.wirep.Put(ip.Payload)
-			}
+			n.wirep.Put(ip.Payload)
 			n.recycleDelivery(d)
 		}
 		return

@@ -483,11 +483,11 @@ func TestResetReseedsHostStreams(t *testing.T) {
 
 // TestDeliveryPoolTrim pins the delivery-node retention bound that the
 // campaign's worker pool applies between jobs, the freelist's backing
-// array and the nodes' IP-ID lists included.
+// array and the nodes' IP-ID and port lists included.
 func TestDeliveryPoolTrim(t *testing.T) {
 	p := &DeliveryPool{}
 	for i := 0; i < 50; i++ {
-		p.free = append(p.free, &delivery{ids: make([]uint16, 0, 400)})
+		p.free = append(p.free, &delivery{ids: make([]uint16, 0, 400), ports: make([]uint16, 0, 50)})
 	}
 	if p.Retained() != 50 {
 		t.Fatalf("Retained %d, want 50", p.Retained())
@@ -497,8 +497,8 @@ func TestDeliveryPoolTrim(t *testing.T) {
 		t.Fatalf("post-Trim Retained %d in %d slots, want 8 in 8", p.Retained(), cap(p.free))
 	}
 	for _, d := range p.free {
-		if cap(d.ids) != 0 {
-			t.Fatalf("a kept node holds a list of %d IP-IDs", cap(d.ids))
+		if cap(d.ids) != 0 || cap(d.ports) != 0 {
+			t.Fatalf("a kept node holds a list of %d IP-IDs and one of %d ports", cap(d.ids), cap(d.ports))
 		}
 	}
 	p.Trim(0)

@@ -108,6 +108,12 @@ func TestTrainEquivalentToSends(t *testing.T) {
 			raw(w)
 			return spoofed(w)
 		}},
+		{name: "a node recycled from a scan", n: 50, setup: func(w *trainWorld) (*Host, netip.Addr, netip.Addr, []byte) {
+			w.victim.BindUDP(40001, func(Datagram) {})
+			w.atk.SendUDPScan(w.ns.Addr, 53, w.victim.Addr, []uint16{40001, 40001, 40001}, dns)
+			w.net.Run()
+			return spoofed(w)
+		}},
 		{name: "larger than the path MTU", n: 30, setup: func(w *trainWorld) (*Host, netip.Addr, netip.Addr, []byte) {
 			w.atk.SetPMTU(w.victim.Addr, 576)
 			raw(w)
@@ -118,23 +124,31 @@ func TestTrainEquivalentToSends(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			train, sends := runTwin(t, tc, true), runTwin(t, tc, false)
-			for i := 0; i < max(len(train.log), len(sends.log)); i++ {
-				var a, b string
-				if i < len(train.log) {
-					a = train.log[i]
-				}
-				if i < len(sends.log) {
-					b = sends.log[i]
-				}
-				if a != b {
-					t.Fatalf("log entry %d of %d/%d:\ntrain: %s\nsends: %s", i, len(train.log), len(sends.log), a, b)
-				}
-			}
+			sameLog(t, "train", train, sends)
 			if train.net.Offered < uint64(tc.n) {
 				t.Fatalf("%d packets offered for a %d-datagram train", train.net.Offered, tc.n)
 			}
 			checkTrains(t, train, sends)
 		})
+	}
+}
+
+// sameLog fails at the first entry where the log of w, which sent as
+// one train or scan (named by how), differs from that of its twin,
+// which sent separately.
+func sameLog(t *testing.T, how string, w, sends *trainWorld) {
+	t.Helper()
+	for i := 0; i < max(len(w.log), len(sends.log)); i++ {
+		var a, b string
+		if i < len(w.log) {
+			a = w.log[i]
+		}
+		if i < len(sends.log) {
+			b = sends.log[i]
+		}
+		if a != b {
+			t.Fatalf("log entry %d of %d/%d:\n%s: %s\nsends: %s", i, len(w.log), len(sends.log), how, a, b)
+		}
 	}
 }
 
@@ -254,4 +268,172 @@ func TestTrainIsOneDelivery(t *testing.T) {
 		t.Fatalf("handler saw %d datagrams, host counted %d; want 65536", seen, tn.victim.UDPDeliveredLocal)
 	}
 	conserved(t, tn.net)
+}
+
+// scanCase configures a twin of TestScanEquivalentToSends: setup opens
+// ports and installs hooks, and names the scan's sender, its spoofed
+// source, the destination and the payload. The scan goes to ports
+// 1000–1059 unless ports is set.
+type scanCase struct {
+	name  string
+	ports []uint16
+	setup func(w *trainWorld) (from *Host, src, dst netip.Addr, payload []byte)
+	// overwrite makes the caller write over its ports slice as soon as
+	// the scan (or the last separate send) returns.
+	overwrite bool
+}
+
+// open binds port on the victim to a handler that logs each datagram
+// and records it for checkScan.
+func (w *trainWorld) open(port uint16) {
+	w.victim.BindUDP(port, func(dg Datagram) {
+		w.arrivals = append(w.arrivals, arrival{train: dg.Train, more: dg.More})
+		w.logf("udp :%d from %v:%d % x more=%v", port, dg.Src, dg.SrcPort, dg.Payload, dg.More)
+	})
+}
+
+func TestScanEquivalentToSends(t *testing.T) {
+	probe := []byte("probe")
+	spoofed := func(w *trainWorld) (*Host, netip.Addr, netip.Addr, []byte) {
+		return w.atk, w.ns.Addr, w.victim.Addr, probe
+	}
+	raw := func(w *trainWorld) {
+		w.victim.OnRaw(func(ip *packet.IPv4) { w.captured = append(w.captured, ip) })
+	}
+	withOpen := func(ports ...uint16) func(w *trainWorld) (*Host, netip.Addr, netip.Addr, []byte) {
+		return func(w *trainWorld) (*Host, netip.Addr, netip.Addr, []byte) {
+			for _, p := range ports {
+				w.open(p)
+			}
+			return spoofed(w)
+		}
+	}
+	for _, tc := range []scanCase{
+		{name: "every port closed: the ICMP budget runs out mid-scan", setup: spoofed},
+		{name: "one open port among closed ones", setup: withOpen(1017)},
+		{name: "a handler that answers when More is false", setup: func(w *trainWorld) (*Host, netip.Addr, netip.Addr, []byte) {
+			w.ns.BindUDP(53, func(dg Datagram) { w.logf("ns:53 got %q from %v:%d", dg.Payload, dg.Src, dg.SrcPort) })
+			for _, p := range []uint16{1003, 1004, 1040} {
+				w.victim.BindUDP(p, func(dg Datagram) {
+					w.arrivals = append(w.arrivals, arrival{train: dg.Train, more: dg.More})
+					if !dg.More {
+						w.victim.SendUDP(p, dg.Src, dg.SrcPort, []byte(fmt.Sprintf("answer from :%d", p)))
+					}
+				})
+			}
+			return spoofed(w)
+		}},
+		{name: "onRaw hook", setup: func(w *trainWorld) (*Host, netip.Addr, netip.Addr, []byte) {
+			raw(w)
+			return withOpen(1001, 1059)(w)
+		}},
+		{name: "egress-filtered source", setup: func(w *trainWorld) (*Host, netip.Addr, netip.Addr, []byte) {
+			return w.ns, netip.MustParseAddr("9.9.9.9"), w.victim.Addr, probe
+		}},
+		{name: "no route", setup: func(w *trainWorld) (*Host, netip.Addr, netip.Addr, []byte) {
+			return w.atk, w.ns.Addr, netip.MustParseAddr("203.0.113.1"), probe
+		}},
+		{name: "hijack interceptor", setup: func(w *trainWorld) (*Host, netip.Addr, netip.Addr, []byte) {
+			w.net.AS(w.atkAS).Interceptor = func(ip *packet.IPv4) {
+				w.logf("intercept %v>%v id=%d", ip.Src, ip.Dst, ip.ID)
+				w.captured = append(w.captured, ip)
+			}
+			w.net.RIB.Announce(netip.MustParsePrefix("123.0.0.0/24"), w.atkAS)
+			return w.victim, w.victim.Addr, w.ns.Addr, probe
+		}},
+		{name: "injected loss", setup: func(w *trainWorld) (*Host, netip.Addr, netip.Addr, []byte) {
+			w.net.SetLossRate(0.3)
+			raw(w)
+			return withOpen(1010, 1011, 1030)(w)
+		}},
+		{name: "random IP-ID sender", setup: func(w *trainWorld) (*Host, netip.Addr, netip.Addr, []byte) {
+			w.atk.Cfg.IPIDMode = IPIDRandom
+			raw(w)
+			return withOpen(1020)(w)
+		}},
+		{name: "larger than the path MTU", ports: []uint16{1000, 1001, 1002, 1003, 1004, 1005}, setup: func(w *trainWorld) (*Host, netip.Addr, netip.Addr, []byte) {
+			w.atk.SetPMTU(w.victim.Addr, 576)
+			raw(w)
+			w.open(1002)
+			return w.atk, w.ns.Addr, w.victim.Addr, make([]byte, 1000)
+		}},
+		{name: "the caller overwrites its ports", overwrite: true, setup: withOpen(1005, 1059)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			scan, sends := runScanTwin(t, tc, true), runScanTwin(t, tc, false)
+			sameLog(t, "scan", scan, sends)
+			checkScan(t, scan)
+			checkScan(t, sends)
+		})
+	}
+}
+
+// runScanTwin builds a fresh world, sends tc's probes — as one
+// SendUDPScan or as a loop of SendUDPSpoofed calls — runs the clock dry
+// and returns the world with its log completed by the packets the
+// hooks kept, the counters and the sender's next IP-ID. Every host logs
+// the ICMP messages it receives, which quote each probe's IP-ID, ports
+// and checksum.
+func runScanTwin(t *testing.T, tc scanCase, scan bool) *trainWorld {
+	w := &trainWorld{testNet: build(t)}
+	for _, h := range w.net.hostOrder {
+		h.OnICMP(func(src netip.Addr, msg *packet.ICMP) {
+			w.logf("icmp %v>%s type=%d code=%d % x", src, h.Name, msg.Type, msg.Code, msg.Payload)
+		})
+	}
+	from, src, dst, payload := tc.setup(w)
+	w.net.Trace = func(ev TraceEvent) {
+		w.logf("trace %v %v>%v proto=%d size=%d intercept=%v", ev.At, ev.From, ev.To, ev.Proto, ev.Size, ev.Intercept)
+	}
+	ports := append([]uint16(nil), tc.ports...)
+	if ports == nil {
+		for p := uint16(1000); p < 1060; p++ {
+			ports = append(ports, p)
+		}
+	}
+	whole := packet.IPv4HeaderLen+packet.UDPHeaderLen+len(payload) <= from.PMTUTo(dst)
+	at := w.net.latencyBetween(from.ASN, w.victimAS)
+	w.net.Clock.At(at, func() { w.logf("scheduled before the send") })
+	pending := w.net.Clock.Pending()
+	if scan {
+		from.SendUDPScan(src, 53, dst, ports, payload)
+		if p := w.net.Clock.Pending() - pending; whole && w.net.lossRate == 0 && p > 1 {
+			t.Fatalf("a lossless scan is %d pending events, want at most one", p)
+		}
+	} else {
+		for _, p := range ports {
+			from.SendUDPSpoofed(src, 53, dst, p, payload)
+		}
+	}
+	if tc.overwrite {
+		for i := range ports {
+			ports[i] = 1005
+		}
+	}
+	w.net.Clock.At(at, func() { w.logf("scheduled after the send") })
+	w.net.Run()
+	conserved(t, w.net)
+	for _, ip := range w.captured {
+		b, err := ip.Serialize(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.logf("kept % x", b)
+	}
+	w.logf("%s", w.counters())
+	w.logf("next IP-ID %d", from.NextIPID(dst))
+	return w
+}
+
+// checkScan checks that every datagram a handler got was a delivery of
+// its own: a Train no other datagram has, and More false.
+func checkScan(t *testing.T, w *trainWorld) {
+	t.Helper()
+	seen := map[uint64]bool{}
+	for i, a := range w.arrivals {
+		if a.train == 0 || seen[a.train] || a.more {
+			t.Fatalf("datagram %d arrived with Train %d, More %v, not as a delivery of its own", i, a.train, a.more)
+		}
+		seen[a.train] = true
+	}
 }

@@ -70,13 +70,24 @@ func (ic *ICMP) Serialize(dst []byte) ([]byte, error) {
 
 // DecodeICMP parses an ICMP message, verifying its checksum.
 func DecodeICMP(data []byte) (*ICMP, error) {
+	ic := &ICMP{}
+	if err := DecodeICMPInto(ic, data); err != nil {
+		return nil, err
+	}
+	return ic, nil
+}
+
+// DecodeICMPInto is DecodeICMP into a caller-provided struct, which it
+// overwrites whole, so a receive path can reuse one struct for every
+// message. ic.Payload aliases data.
+func DecodeICMPInto(ic *ICMP, data []byte) error {
 	if len(data) < ICMPHeaderLen {
-		return nil, fmt.Errorf("%w: ICMP header needs %d bytes, have %d", ErrTruncated, ICMPHeaderLen, len(data))
+		return fmt.Errorf("%w: ICMP header needs %d bytes, have %d", ErrTruncated, ICMPHeaderLen, len(data))
 	}
 	if Checksum(data, 0) != 0 {
-		return nil, fmt.Errorf("%w: ICMP", ErrBadChecksum)
+		return fmt.Errorf("%w: ICMP", ErrBadChecksum)
 	}
-	ic := &ICMP{
+	*ic = ICMP{
 		Type:    data[0],
 		Code:    data[1],
 		Payload: data[ICMPHeaderLen:],
@@ -88,7 +99,7 @@ func DecodeICMP(data []byte) (*ICMP, error) {
 	case ICMPTypeDestUnreach:
 		ic.MTU = binary.BigEndian.Uint16(data[6:])
 	}
-	return ic, nil
+	return nil
 }
 
 // QuoteDatagram appends to dst the ICMP error payload quoting an

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"net/netip"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -146,6 +147,7 @@ func TestUDPForceChecksum(t *testing.T) {
 }
 
 func TestICMPRoundTrip(t *testing.T) {
+	var reused ICMP
 	for _, ic := range []*ICMP{
 		{Type: ICMPTypeEcho, Code: 0, ID: 0x55, Seq: 9, Payload: []byte("ping")},
 		{Type: ICMPTypeDestUnreach, Code: ICMPCodePortUnreach, Payload: make([]byte, ICMPQuoteLen)},
@@ -161,6 +163,13 @@ func TestICMPRoundTrip(t *testing.T) {
 		}
 		if out.Type != ic.Type || out.Code != ic.Code || out.MTU != ic.MTU || out.ID != ic.ID || out.Seq != ic.Seq {
 			t.Fatalf("round trip mismatch: %+v vs %+v", out, ic)
+		}
+		// A reused struct keeps nothing of the message decoded before.
+		if err := DecodeICMPInto(&reused, wire); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(&reused, out) {
+			t.Fatalf("decoded into a reused struct: %+v, afresh: %+v", reused, out)
 		}
 	}
 }
@@ -292,5 +301,35 @@ func TestSetUDPPayloadIDMatchesSerialize(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(10))}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSetUDPDstPortMatchesSerialize walks the destination port through
+// all 65,536 values by successive patches, as a scan delivery does,
+// and requires every step to be byte-identical to a fresh Serialize for
+// that port, including the ports whose computed checksum is zero and
+// goes out as 0xffff.
+func TestSetUDPDstPortMatchesSerialize(t *testing.T) {
+	payload := []byte("probe")
+	fresh := func(port uint16) []byte {
+		u := &UDP{SrcPort: 53, DstPort: port, Payload: payload}
+		wire, err := u.Serialize(nil, ipB, ipA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wire
+	}
+	wire := fresh(0)
+	sawZero := false
+	for port := 0; port < 1<<16; port++ {
+		SetUDPDstPort(wire, uint16(port))
+		want := fresh(uint16(port))
+		if !bytes.Equal(wire, want) {
+			t.Fatalf("port %d: patched % x, serialized % x", port, wire, want)
+		}
+		sawZero = sawZero || want[6] == 0xff && want[7] == 0xff
+	}
+	if !sawZero {
+		t.Fatal("no port produced a computed-zero checksum")
 	}
 }

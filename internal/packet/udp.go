@@ -94,15 +94,26 @@ func DecodeUDPInto(u *UDP, data []byte, src, dst netip.Addr, verify bool) error 
 // serializing the patched payload afresh, at O(1) cost instead of a
 // pass over the datagram. A datagram sent without a checksum (zero)
 // keeps none.
-func SetUDPPayloadID(wire []byte, id uint16) {
-	p := wire[UDPHeaderLen:]
-	old := binary.BigEndian.Uint16(p)
-	binary.BigEndian.PutUint16(p, id)
+func SetUDPPayloadID(wire []byte, id uint16) { setUDPWord(wire, UDPHeaderLen, id) }
+
+// SetUDPDstPort overwrites the destination port of a serialized UDP
+// datagram (wire starts at the UDP header) and updates the checksum as
+// SetUDPPayloadID does: byte-identical to serializing the datagram
+// afresh for that port. The pseudo-header does not hold the port, so
+// nothing else changes.
+func SetUDPDstPort(wire []byte, port uint16) { setUDPWord(wire, 2, port) }
+
+// setUDPWord writes v into the 16-bit word at off of a serialized UDP
+// datagram, off being even and not the checksum's, and updates the
+// checksum incrementally (RFC 1624, eqn. 3).
+func setUDPWord(wire []byte, off int, v uint16) {
+	old := binary.BigEndian.Uint16(wire[off:])
+	binary.BigEndian.PutUint16(wire[off:], v)
 	ck := binary.BigEndian.Uint16(wire[6:])
 	if ck == 0 {
 		return
 	}
-	ck = FoldChecksum(uint32(^ck) + uint32(^old) + uint32(id))
+	ck = FoldChecksum(uint32(^ck) + uint32(^old) + uint32(v))
 	if ck == 0 {
 		ck = 0xffff // as Serialize sends a computed zero
 	}

@@ -28,7 +28,10 @@ const numClasses = 16
 // retain any slice of it. Put is only ever called by code that can
 // prove no reference escaped (see the netsim delivery rules in
 // DESIGN.md); when in doubt, leak the buffer to the GC instead —
-// correctness never depends on recycling.
+// correctness never depends on recycling. Built with -tags poolcheck,
+// the pool enforces the contract: Put poisons what it takes back and
+// panics on a buffer it already holds, and Get panics on a held buffer
+// that something wrote to after its release.
 type Wire struct {
 	classes [numClasses][][]byte
 
@@ -64,6 +67,7 @@ func (p *Wire) Get(n int) []byte {
 			b := l[len(l)-1]
 			l[len(l)-1] = nil
 			p.classes[c] = l[:len(l)-1]
+			checkGet(b)
 			return b
 		}
 		p.Misses++
@@ -112,5 +116,6 @@ func (p *Wire) Put(b []byte) {
 	if c < 0 || c >= numClasses {
 		return
 	}
+	p.checkPut(b, c)
 	p.classes[c] = append(p.classes[c], b[:0])
 }
