@@ -234,6 +234,41 @@ func TestTrainAllocsIndependentOfLength(t *testing.T) {
 	}
 }
 
+// TestFilteredFloodZeroAllocs pins the TXID flood at a socket that
+// awaits one ID, as a resolver's upstream socket does: on a warmed
+// world one 65,536-datagram train into a BindUDPExpect socket, whose
+// handler closes the port at the match, allocates nothing. The
+// datagrams before the match and the closed-port tail the ICMP budget
+// suppresses are each counted in one step; the errors in between are
+// sent.
+func TestFilteredFloodZeroAllocs(t *testing.T) {
+	const port, match = 40000, 1 << 14
+	s := scenario.New(scenario.Config{Seed: 42})
+	payload := make([]byte, 64)
+	var rejected uint64
+	calls := 0
+	handler := func(netsim.Datagram) {
+		calls++
+		s.ResolverHost.CloseUDP(port)
+	}
+	round := func() {
+		s.ResolverHost.BindUDPExpect(port, match, &rejected, handler)
+		s.Attacker.SendUDPTrain(scenario.NSIP, 53, scenario.ResolverIP, port, payload, 1<<16)
+		s.Net.Run()
+	}
+	for i := 0; i < 3; i++ {
+		round() // warm pools, freelists and the quote buffer
+	}
+	rejected, calls = 0, 0
+	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+		t.Fatalf("filtered 65,536-datagram flood: %v allocs/op, want 0", allocs)
+	}
+	// AllocsPerRun runs the round once more before it counts.
+	if rejected != 21*match || calls != 21 {
+		t.Fatalf("%d datagrams rejected and %d handler calls in 21 floods, want %d and 1 each", rejected, calls, match)
+	}
+}
+
 // TestResolverRoundTripZeroAllocs pins the resolver's full-resolution
 // path at zero allocations per upstream round trip. The measurement is
 // differential: two resolvers identical except for the retry count

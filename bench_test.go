@@ -469,9 +469,13 @@ func BenchmarkSadDNSPortScanWindow(b *testing.B) {
 // SadDNS's TXID flood (§3.2): one 65,536-datagram train of spoofed
 // responses at an open port, whose handler rejects every ID until the
 // one at which it closes the port, as a resolver's query ends while
-// the flood goes on. Each later datagram finds the port closed: it
-// draws an ICMP error while the host's global ICMP budget lasts and is
-// suppressed after that.
+// the flood goes on. The port has no ID filter, so its 16,384
+// datagrams before the match each take the whole receive path and
+// reach the handler. Each later datagram finds the port closed: it
+// draws an ICMP error while the host's global ICMP budget lasts, and
+// the rest of the train, 49,152 datagrams less the budget, is counted
+// as suppressed in one step. One untimed flood warms the pools first,
+// so allocs/op counts floods, not the build.
 func BenchmarkTXIDFlood(b *testing.B) {
 	const port, closeAt = 40000, 1 << 14
 	s := scenario.New(scenario.Config{Seed: 11})
@@ -484,14 +488,53 @@ func BenchmarkTXIDFlood(b *testing.B) {
 		}
 		rejected++
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	flood := func() {
 		s.ResolverHost.BindUDP(port, handler)
 		s.Attacker.SendUDPTrain(scenario.NSIP, 53, scenario.ResolverIP, port, payload, 1<<16)
 		s.Net.Run()
 	}
+	flood()
+	rejected = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		flood()
+	}
 	if rejected != b.N*closeAt {
 		b.Fatalf("%d datagrams rejected at the open port in %d floods, want %d each", rejected, b.N, closeAt)
+	}
+}
+
+// BenchmarkFilteredTXIDFlood is BenchmarkTXIDFlood at a socket that
+// awaits the one ID, as a resolver's upstream socket does
+// (netsim.Host.BindUDPExpect): the 16,384 datagrams before the match
+// are dropped at the socket and counted in one step, the handler runs
+// once, at the match, and closes the port, and the closed-port tail is
+// counted as in BenchmarkTXIDFlood.
+func BenchmarkFilteredTXIDFlood(b *testing.B) {
+	const port, closeAt = 40000, 1 << 14
+	s := scenario.New(scenario.Config{Seed: 11})
+	payload := make([]byte, 64)
+	var rejected uint64
+	calls := 0
+	handler := func(netsim.Datagram) {
+		calls++
+		s.ResolverHost.CloseUDP(port)
+	}
+	flood := func() {
+		s.ResolverHost.BindUDPExpect(port, closeAt, &rejected, handler)
+		s.Attacker.SendUDPTrain(scenario.NSIP, 53, scenario.ResolverIP, port, payload, 1<<16)
+		s.Net.Run()
+	}
+	flood()
+	rejected, calls = 0, 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		flood()
+	}
+	if rejected != uint64(b.N)*closeAt || calls != b.N {
+		b.Fatalf("%d datagrams rejected and %d handler calls in %d floods, want %d and 1 each", rejected, calls, b.N, closeAt)
 	}
 }
 

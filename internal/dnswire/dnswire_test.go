@@ -154,6 +154,30 @@ func TestEDNSRoundTrip(t *testing.T) {
 	}
 }
 
+// TestUnpackEDNSAllocs pins what an OPT record costs Unpack: its RR, its
+// OPTData and the Additional slice, and no RDATA object built only to
+// be thrown away.
+func TestUnpackEDNSAllocs(t *testing.T) {
+	perUnpack := func(edns bool) float64 {
+		q := NewQuery(0x1234, "www.vict.im.", TypeA)
+		if edns {
+			q.SetEDNS(1232, true)
+		}
+		wire, err := q.Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(100, func() {
+			if _, err := Unpack(wire); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if plain, edns := perUnpack(false), perUnpack(true); edns != plain+3 {
+		t.Fatalf("Unpack: %v allocs/op with EDNS, %v without; want 3 more", edns, plain)
+	}
+}
+
 func TestCanonicalAndEqualNames(t *testing.T) {
 	cases := []struct{ in, want string }{
 		{"", "."}, {".", "."}, {"Vict.IM", "vict.im."}, {"vict.im.", "vict.im."},

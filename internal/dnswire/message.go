@@ -294,12 +294,12 @@ func readRRs(data []byte, off, n int) ([]*RR, int, error) {
 		}
 		rd := data[rdOff : rdOff+rdlen]
 		rr := &RR{Name: name, Type: typ, Class: class, TTL: ttl}
-		if rr.Data, err = decodeRData(typ, data, rdOff, rd); err != nil {
-			return nil, 0, fmt.Errorf("RR %s/%v: %w", name, typ, err)
-		}
 		if typ == TypeOPT {
+			// EDNS0 carries its fields in the class and TTL; the RDATA
+			// (options) is not kept.
 			rr.Data = &OPTData{UDPSize: uint16(class), DO: ttl&(1<<15) != 0}
-			rr.Class = class
+		} else if rr.Data, err = decodeRData(typ, data, rdOff, rd); err != nil {
+			return nil, 0, fmt.Errorf("RR %s/%v: %w", name, typ, err)
 		}
 		rrs = append(rrs, rr)
 		off = rdOff + rdlen

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"net/netip"
@@ -88,8 +89,10 @@ func DefaultHostConfig() HostConfig {
 
 // Datagram is a received UDP payload with its source address and
 // port. The destination is the handler's own: the receiving host's
-// Addr and the port the handler was bound to. The struct is nine
-// words, which the register ABI passes to a handler in registers.
+// Addr and the port the handler was bound to. A socket bound with
+// BindUDPExpect sees only the datagrams that pass its ID filter. The
+// struct is nine words, which the register ABI passes to a handler in
+// registers.
 // Payload is only valid for the duration of the handler call, and
 // read-only: the network owns the buffer, recycles it afterwards, and
 // a train rewrites it in place for its next datagram. A handler that
@@ -110,6 +113,8 @@ func DefaultHostConfig() HostConfig {
 // More is true when another datagram of the same delivery follows this
 // one: a handler that defers work to the end of a train (such as
 // answering it with one train of replies) does it when More is false.
+// The datagrams an ID filter drops count as following ones, so a
+// filtered socket may see More set on the last datagram it gets.
 //
 // A datagram of a SendUDPScan is a delivery of its own, as a separate
 // send would be: it has a Train no other datagram shares and More
@@ -124,6 +129,17 @@ type Datagram struct {
 
 // UDPHandler consumes datagrams delivered to a bound port.
 type UDPHandler func(dg Datagram)
+
+// udpBinding is what a bound UDP port holds: its handler and, for a
+// socket bound with BindUDPExpect, the ID filter in front of it. A nil
+// fn is a closed port.
+type udpBinding struct {
+	fn UDPHandler
+	// rejected counts the datagrams the filter drops, when non-nil.
+	rejected *uint64
+	id       uint16
+	filtered bool
+}
 
 // ICMPHandler observes ICMP messages delivered to the host. msg and
 // msg.Payload are valid only during the call: the network decodes every
@@ -140,7 +156,7 @@ type Host struct {
 
 	net          *Network
 	rng          *rand.Rand
-	udpPorts     map[uint16]UDPHandler
+	udpPorts     map[uint16]udpBinding
 	tcpPorts     map[uint16]TCPHandler
 	sessionPorts map[uint16]SessionHandler
 	sessions     map[sessionKey]*Session
@@ -149,14 +165,14 @@ type Host struct {
 	frag         *ipfrag.Cache
 	pmtu         map[netip.Addr]int
 
-	// lastPort and lastHandler are receiveUDP's last udpPorts lookup,
-	// a closed port's nil included, while hasLast is set. BindUDP,
-	// CloseUDP and reset are the only writers of udpPorts. Each clears
-	// hasLast, so a cached result is always what the map holds, and
-	// lastHandler, so a released handler is not kept alive.
-	lastPort    uint16
-	hasLast     bool
-	lastHandler UDPHandler
+	// lastPort and last are receiveUDP's last udpPorts lookup, a
+	// closed port's zero binding included, while hasLast is set.
+	// bindUDP, CloseUDP and reset are the only writers of udpPorts.
+	// Each clears hasLast, so a cached binding is always what the map
+	// holds, and last, so a released handler is not kept alive.
+	lastPort uint16
+	hasLast  bool
+	last     udpBinding
 
 	ipidGlobal  uint16
 	ipidPerDest map[netip.Addr]uint16
@@ -164,8 +180,8 @@ type Host struct {
 	icmpBucket float64
 	icmpWindow time.Duration
 	icmpPerIP  map[netip.Addr]*bucketState
-	// icmpAt is takeICMPToken's last window index with the instant and
-	// the bucket parameters it was computed from.
+	// icmpAt is icmpWindowIndex's last result with the instant and the
+	// bucket parameters it was computed from.
 	icmpAt windowAt
 
 	// Counters.
@@ -200,7 +216,7 @@ type windowAt struct {
 // the capture hooks, and the ICMP bucket level as built.
 type hostSnap struct {
 	cfg          HostConfig
-	udpPorts     map[uint16]UDPHandler
+	udpPorts     map[uint16]udpBinding
 	tcpPorts     map[uint16]TCPHandler
 	sessionPorts map[uint16]SessionHandler
 	onICMP       ICMPHandler
@@ -213,13 +229,13 @@ type hostSnap struct {
 func (h *Host) snapshot() {
 	s := &hostSnap{
 		cfg:        h.Cfg,
-		udpPorts:   make(map[uint16]UDPHandler, len(h.udpPorts)),
+		udpPorts:   make(map[uint16]udpBinding, len(h.udpPorts)),
 		onICMP:     h.onICMP,
 		onRaw:      h.onRaw,
 		icmpBucket: h.icmpBucket,
 	}
-	for p, fn := range h.udpPorts {
-		s.udpPorts[p] = fn
+	for p, b := range h.udpPorts {
+		s.udpPorts[p] = b
 	}
 	if h.tcpPorts != nil {
 		s.tcpPorts = make(map[uint16]TCPHandler, len(h.tcpPorts))
@@ -248,10 +264,10 @@ func (h *Host) reset() {
 		panic("netsim: Host.reset without Snapshot")
 	}
 	h.Cfg = s.cfg
-	h.hasLast, h.lastHandler = false, nil
+	h.hasLast, h.last = false, udpBinding{}
 	clear(h.udpPorts)
-	for p, fn := range s.udpPorts {
-		h.udpPorts[p] = fn
+	for p, b := range s.udpPorts {
+		h.udpPorts[p] = b
 	}
 	if s.tcpPorts == nil {
 		h.tcpPorts = nil
@@ -294,7 +310,7 @@ func newHost(n *Network, name string, asn bgp.ASN, addr netip.Addr) *Host {
 		Cfg:         cfg,
 		net:         n,
 		rng:         n.Clock.NewRand(),
-		udpPorts:    make(map[uint16]UDPHandler),
+		udpPorts:    make(map[uint16]udpBinding),
 		frag:        ipfrag.New(0, 0),
 		pmtu:        make(map[netip.Addr]int),
 		ipidPerDest: make(map[netip.Addr]uint16),
@@ -324,17 +340,32 @@ func (h *Host) FragCache() *ipfrag.Cache { return h.frag }
 // free, and returns it; it panics when every port EphemeralPort can
 // draw is bound.
 func (h *Host) BindUDP(port uint16, fn UDPHandler) uint16 {
+	return h.bindUDP(port, udpBinding{fn: fn})
+}
+
+// BindUDPExpect is BindUDP for a socket that awaits one DNS ID, such
+// as a resolver's upstream query port: a datagram whose first two
+// payload bytes are not id, big-endian, or that has fewer than two, is
+// dropped at the socket. It still counts in UDPDeliveredLocal, and in
+// *rejected when rejected is non-nil, but fn never sees it. Because
+// such a datagram's fate is fixed, a train's datagrams up to the next
+// one carrying id are counted in one step (see delivery.run).
+func (h *Host) BindUDPExpect(port, id uint16, rejected *uint64, fn UDPHandler) uint16 {
+	return h.bindUDP(port, udpBinding{fn: fn, rejected: rejected, id: id, filtered: true})
+}
+
+func (h *Host) bindUDP(port uint16, b udpBinding) uint16 {
 	if port == 0 {
 		port = h.EphemeralPort()
-		if h.udpPorts[port] != nil {
+		if h.udpPorts[port].fn != nil {
 			h.checkEphemeralFree()
-			for h.udpPorts[port] != nil {
+			for h.udpPorts[port].fn != nil {
 				port = h.EphemeralPort()
 			}
 		}
 	}
-	h.udpPorts[port] = fn
-	h.hasLast, h.lastHandler = false, nil
+	h.udpPorts[port] = b
+	h.hasLast, h.last = false, udpBinding{}
 	return port
 }
 
@@ -347,7 +378,7 @@ func (h *Host) checkEphemeralFree() {
 		hi = lo
 	}
 	for p := lo; p <= hi; p++ {
-		if h.udpPorts[uint16(p)] == nil {
+		if h.udpPorts[uint16(p)].fn == nil {
 			return
 		}
 	}
@@ -360,7 +391,7 @@ func (h *Host) checkEphemeralFree() {
 // delivered.
 func (h *Host) CloseUDP(port uint16) {
 	delete(h.udpPorts, port)
-	h.hasLast, h.lastHandler = false, nil
+	h.hasLast, h.last = false, udpBinding{}
 }
 
 // EphemeralPort draws a source port from the configured range; with
@@ -413,6 +444,28 @@ func (h *Host) PeekIPID(dst netip.Addr) uint16 {
 	default:
 		return 0
 	}
+}
+
+// skipIPIDs draws the host's next n IP-IDs toward dst in one step, when
+// they count up from id: its counter toward dst stands at id, the ID it
+// drew last. It reports whether it did; a random-IP-ID host draws each
+// with NextIPID.
+func (h *Host) skipIPIDs(dst netip.Addr, id uint16, n int) bool {
+	switch h.Cfg.IPIDMode {
+	case IPIDGlobalCounter:
+		if h.ipidGlobal != id {
+			return false
+		}
+		h.ipidGlobal += uint16(n)
+	case IPIDPerDestCounter:
+		if h.ipidPerDest[dst] != id {
+			return false
+		}
+		h.ipidPerDest[dst] += uint16(n)
+	default:
+		return false
+	}
+	return true
 }
 
 // PMTUTo returns the path MTU the host currently believes applies
@@ -518,7 +571,7 @@ func (h *Host) sendUDP(ip *packet.IPv4, count int, ports []uint16) {
 	for k := 0; k < count; k++ {
 		if k > 0 {
 			ip.ID = h.NextIPID(ip.Dst)
-			nextDatagram(ip.Payload, ports, k)
+			nextDatagram(ip.Payload, ports, k, 1)
 		}
 		frags, err := ip.Fragment(mtu)
 		if err != nil {
@@ -592,9 +645,9 @@ func (h *Host) receive(ip *packet.IPv4, more bool) {
 // checksum valid, so once the delivery's first datagram passed
 // (Network.verified holds its Train) the rest are taken as verified.
 // Raw sends, fragments and reassembled datagrams are deliveries of one,
-// so each is verified. The port's handler, or its absence, comes from
-// the last lookup while the port is the last one looked up (see
-// lastHandler): a flood hits one port datagram after datagram.
+// so each is verified. The port's binding comes from the last lookup
+// while the port is the last one looked up (see last): a flood hits one
+// port datagram after datagram.
 func (h *Host) receiveUDP(ip *packet.IPv4, more bool) {
 	n := h.net
 	var u packet.UDP
@@ -602,17 +655,22 @@ func (h *Host) receiveUDP(ip *packet.IPv4, more bool) {
 		return // bad checksum: silently dropped, like real stacks
 	}
 	n.verified = n.train
-	handler := h.lastHandler
+	b := &h.last
 	if !h.hasLast || h.lastPort != u.DstPort {
-		handler = h.udpPorts[u.DstPort]
-		h.lastPort, h.lastHandler, h.hasLast = u.DstPort, handler, true
+		h.lastPort, h.last, h.hasLast = u.DstPort, h.udpPorts[u.DstPort], true
 	}
-	if handler == nil {
+	if b.fn == nil {
 		h.maybeSendPortUnreachable(ip)
 		return
 	}
 	h.UDPDeliveredLocal++
-	handler(Datagram{Src: ip.Src, SrcPort: u.SrcPort, Payload: u.Payload, Train: n.train, More: more})
+	if b.filtered && (len(u.Payload) < 2 || binary.BigEndian.Uint16(u.Payload) != b.id) {
+		if b.rejected != nil {
+			*b.rejected++
+		}
+		return
+	}
+	b.fn(Datagram{Src: ip.Src, SrcPort: u.SrcPort, Payload: u.Payload, Train: n.train, More: more})
 }
 
 // receiveICMP decodes an ICMP message into the network's reused
@@ -687,13 +745,7 @@ func (h *Host) ICMPWindow() time.Duration {
 // window, exhausting the quota with spoofed probes makes the host
 // silent to everyone — the side channel.
 func (h *Host) takeICMPToken(src netip.Addr) bool {
-	// A flood's datagrams arrive at one instant: compute its window
-	// index once.
-	w, now := &h.icmpAt, h.net.Clock.Now()
-	if w.at != now || w.burst != h.Cfg.ICMPBurst || w.rate != h.Cfg.ICMPRate {
-		*w = windowAt{at: now, index: now / h.ICMPWindow(), burst: h.Cfg.ICMPBurst, rate: h.Cfg.ICMPRate}
-	}
-	window := w.index
+	window := h.icmpWindowIndex()
 	switch h.Cfg.ICMPLimitMode {
 	case ICMPLimitNone:
 		return true
@@ -723,4 +775,32 @@ func (h *Host) takeICMPToken(src netip.Addr) bool {
 		}
 		return false
 	}
+}
+
+// icmpExhausted is takeICMPToken's side-effect-free twin: it reports
+// that the bucket that applies to src is empty at this instant and no
+// refill is due, so takeICMPToken(src) would return false and change
+// nothing. It never holds under ICMPLimitNone.
+func (h *Host) icmpExhausted(src netip.Addr) bool {
+	window := h.icmpWindowIndex()
+	switch h.Cfg.ICMPLimitMode {
+	case ICMPLimitNone:
+		return false
+	case ICMPLimitPerIP:
+		b := h.icmpPerIP[src]
+		return b != nil && window <= b.window && b.tokens < 1
+	default: // global
+		return window <= h.icmpWindow && h.icmpBucket < 1
+	}
+}
+
+// icmpWindowIndex returns the index of the rate-limit window that holds
+// the current instant. A flood's datagrams arrive at one instant, so it
+// is computed once per instant (see windowAt).
+func (h *Host) icmpWindowIndex() time.Duration {
+	w, now := &h.icmpAt, h.net.Clock.Now()
+	if w.at != now || w.burst != h.Cfg.ICMPBurst || w.rate != h.Cfg.ICMPRate {
+		*w = windowAt{at: now, index: now / h.ICMPWindow(), burst: h.Cfg.ICMPBurst, rate: h.Cfg.ICMPRate}
+	}
+	return w.index
 }

@@ -349,12 +349,18 @@ func (n *Network) Send(from *Host, ip *packet.IPv4) {
 // IP-ID and either the first word of its UDP payload (the DNS ID)
 // advanced by k — a train — or, when ports is not empty, destination
 // port ports[k] — a scan, with len(ports) == count. Egress filtering,
-// route and latency are resolved once; the IP-ID draw, Sent and the
-// loss draw stay per datagram, as count separate sends would make them.
-// Surviving datagrams share one scheduled delivery, which lists their
-// IP-IDs if they do not count up and copies a scan's ports; only a
-// loss starts the next, so the nodes hold exactly the place in the
-// timestamp bucket that count separate deliveries would.
+// route and latency are resolved once. When the network is lossless,
+// the route exists and the sender's IP-IDs count up from ip.ID (a
+// counter standing at ip.ID, see Host.skipIPIDs), every datagram
+// survives with a known IP-ID, so the IP-IDs and Sent are drawn and
+// counted in one step and the datagrams scheduled as one node.
+// Otherwise the IP-ID draw, Sent and the loss draw stay per datagram,
+// as count separate sends would make them, because random IP-IDs and
+// loss draws must each be drawn. Surviving datagrams share one
+// scheduled delivery, which lists their IP-IDs if they do not count up
+// and copies a scan's ports; only a loss starts the next, so the nodes
+// hold exactly the place in the timestamp bucket that count separate
+// deliveries would.
 //
 // owned means ip.Payload was taken from n.wirep by the caller and
 // responsibility for returning it passes to the network (recycled on
@@ -377,6 +383,14 @@ func (n *Network) send(from *Host, ip *packet.IPv4, owned bool, count int, ports
 	}
 	origin, routed := n.RIB.Resolve(from.ASN, ip.Dst)
 	latency := n.latencyBetween(from.ASN, origin)
+	if count > 1 && routed && n.lossRate == 0 && from.skipIPIDs(ip.Dst, ip.ID, count-1) {
+		from.Sent += uint64(count)
+		d := n.newDelivery(origin, ip, owned)
+		d.count = count
+		d.ports = append(d.ports, ports...)
+		n.Clock.AfterAction(latency, d)
+		return
+	}
 	var d *delivery
 	var firstID uint16 // the train's first payload ID, read before a node may own the buffer
 	if count > 1 && len(ports) == 0 {
@@ -409,16 +423,10 @@ func (n *Network) send(from *Host, ip *packet.IPv4, owned bool, count int, ports
 			d.count++
 			continue
 		}
-		d = n.allocDelivery()
-		d.origin = origin
-		d.ip = *ip
+		d = n.newDelivery(origin, ip, owned)
+		owned = false
 		d.ip.ID = id
 		d.count = 1
-		if owned {
-			owned = false
-		} else {
-			d.ip.Payload = append(n.wirep.Get(len(ip.Payload)), ip.Payload...)
-		}
 		switch {
 		case len(ports) > 0:
 			d.ports = append(d.ports, ports[k])
@@ -435,12 +443,27 @@ func (n *Network) send(from *Host, ip *packet.IPv4, owned bool, count int, ports
 	}
 }
 
+// newDelivery returns a node whose first datagram is ip, routed to
+// origin. It takes ip.Payload over when owned and copies it into a
+// pooled buffer otherwise.
+func (n *Network) newDelivery(origin bgp.ASN, ip *packet.IPv4, owned bool) *delivery {
+	d := n.allocDelivery()
+	d.origin = origin
+	d.ip = *ip
+	if !owned {
+		d.ip.Payload = append(n.wirep.Get(len(ip.Payload)), ip.Payload...)
+	}
+	return d
+}
+
 // Fire delivers the node's datagrams in order, each exactly as its
 // own delivery would be: counters, Trace and the receiver's whole
-// receive path (port lookup, ICMP budget, handler) stay per datagram.
-// Between datagrams the one payload buffer is rewritten in place —
-// IP-ID (counted up, or the next from ids), the ID word or destination
-// port, and an O(1) checksum update — which is safe because a UDP
+// receive path (port lookup, ICMP budget, handler) stay per datagram,
+// except for runs of a train's datagrams whose fate is fixed, which
+// run counts in one step with the same counters. Between datagrams the
+// one payload buffer is rewritten in place — IP-ID (counted up, or the
+// next from ids), the ID word or destination port, and an O(1)
+// checksum update, also past a run — which is safe because a UDP
 // handler may not keep or modify Payload past its return. Every
 // datagram of a train carries the same Datagram.Train, a number no
 // other delivery gets, and all but the last Datagram.More, and its
@@ -455,29 +478,97 @@ func (d *delivery) Fire() {
 	}
 	for k := 1; k < d.count; k++ {
 		d.deliver(dst, true)
+		step := 1
+		if j := d.run(dst, k); j > 0 {
+			if k+j == d.count {
+				// The run ended the train: recycle as deliver does
+				// after a last datagram, which a run's conditions make
+				// safe.
+				d.n.wirep.Put(d.ip.Payload)
+				d.n.recycleDelivery(d)
+				return
+			}
+			k += j
+			step += j
+		}
 		if len(d.ids) > 0 {
 			d.ip.ID = d.ids[k]
 		} else {
-			d.ip.ID++
+			d.ip.ID += uint16(step)
 		}
 		if len(d.ports) > 0 {
 			d.n.train++
 		}
-		nextDatagram(d.ip.Payload, d.ports, k)
+		nextDatagram(d.ip.Payload, d.ports, k, uint16(step))
 	}
 	d.deliver(dst, false)
 }
 
+// run is called once datagram k-1 of a train has been delivered to dst.
+// It counts, in one step, datagrams k… whose fate is already fixed and
+// returns how many, 0 when it cannot tell. Their fate is fixed when
+// nothing but counters would run for them, so nothing can change it
+// between them:
+//
+//   - (a) the port's socket has an ID filter: every datagram before the
+//     first that carries its ID (IDs count up and wrap) is dropped at the
+//     socket, counted in Delivered, Received, UDPDeliveredLocal and the
+//     filter's counter;
+//   - (b) the port is closed and dst's ICMP bucket for the source is
+//     empty (Host.icmpExhausted): every datagram left is suppressed,
+//     counted in Delivered, Received and ICMPSuppressed.
+//
+// Runs are taken only where every datagram would take the path above
+// and nothing observes it: dst exists, no Trace and no onRaw observer
+// is installed, the node is a train (a scan's datagrams are separate
+// deliveries) and not a fragment, and the train's checksum has been
+// verified. The port's binding is the receive path's cached one, which
+// datagram k-1 left there unless its handler rebound or closed the
+// port; then the next datagram takes the whole path and refreshes it.
+func (d *delivery) run(dst *Host, k int) int {
+	n, ip := d.n, &d.ip
+	if dst == nil || n.Trace != nil || dst.onRaw != nil || len(d.ports) > 0 || n.verified != n.train || ip.IsFragment() {
+		return 0
+	}
+	if !dst.hasLast || dst.lastPort != binary.BigEndian.Uint16(ip.Payload[2:]) { // the UDP destination port
+		return 0
+	}
+	b := &dst.last
+	j := d.count - k
+	switch {
+	case b.fn == nil:
+		if !dst.icmpExhausted(ip.Src) {
+			return 0
+		}
+		dst.ICMPSuppressed += uint64(j)
+	case b.filtered:
+		// Datagram k carries the ID after datagram k-1's.
+		j = min(j, int(b.id-binary.BigEndian.Uint16(ip.Payload[packet.UDPHeaderLen:])-1))
+		if j == 0 {
+			return 0
+		}
+		dst.UDPDeliveredLocal += uint64(j)
+		if b.rejected != nil {
+			*b.rejected += uint64(j)
+		}
+	default:
+		return 0
+	}
+	n.Delivered += uint64(j)
+	dst.Received += uint64(j)
+	return j
+}
+
 // nextDatagram rewrites the serialized UDP datagram in wire, datagram
-// k-1 of a train or scan, into datagram k: destination port ports[k]
-// for a scan, otherwise the payload's ID word advanced by one,
-// wrapping after 0xffff.
-func nextDatagram(wire []byte, ports []uint16, k int) {
+// k-step of a train or scan, into datagram k: destination port ports[k]
+// for a scan (whose step is always 1), otherwise the payload's ID word
+// advanced by step, wrapping after 0xffff, in one checksum update.
+func nextDatagram(wire []byte, ports []uint16, k int, step uint16) {
 	if len(ports) > 0 {
 		packet.SetUDPDstPort(wire, ports[k])
 		return
 	}
-	packet.SetUDPPayloadID(wire, binary.BigEndian.Uint16(wire[packet.UDPHeaderLen:])+1)
+	packet.SetUDPPayloadID(wire, binary.BigEndian.Uint16(wire[packet.UDPHeaderLen:])+step)
 }
 
 // deliver hands the datagram in d.ip to dst, or, when the route ended

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -146,4 +147,49 @@ func TestBindEphemeralPanicsWhenNoPortIsFree(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestBindUDPExpectFilters: a socket bound with BindUDPExpect hands its
+// handler only the datagrams whose first two payload bytes are its ID.
+// Every other one, a payload shorter than two bytes included, still
+// counts in UDPDeliveredLocal and in the filter's counter, when it has
+// one. BindUDP over it drops the filter, and Reset restores a
+// snapshotted one.
+func TestBindUDPExpectFilters(t *testing.T) {
+	tn := build(t)
+	var rejected uint64
+	var got []string
+	handler := func(dg Datagram) { got = append(got, string(dg.Payload)) }
+	send := func(payloads ...string) {
+		for _, p := range payloads {
+			tn.atk.SendUDP(1234, tn.victim.Addr, 40000, []byte(p))
+		}
+		tn.net.Run()
+	}
+	check := func(step string, want []string, wantRejected, wantLocal uint64) {
+		t.Helper()
+		if !slices.Equal(got, want) || rejected != wantRejected || tn.victim.UDPDeliveredLocal != wantLocal {
+			t.Fatalf("%s: handler got %q, %d rejected, %d delivered locally; want %q, %d, %d",
+				step, got, rejected, tn.victim.UDPDeliveredLocal, want, wantRejected, wantLocal)
+		}
+	}
+	const id = 'i'<<8 | 'd'
+	tn.victim.BindUDPExpect(40000, id, &rejected, handler)
+	send("id", "ix", "i", "", "id!")
+	check("filtered", []string{"id", "id!"}, 3, 5)
+
+	tn.victim.BindUDPExpect(40000, id, nil, handler)
+	send("xx", "id")
+	check("no counter", []string{"id", "id!", "id"}, 3, 7)
+
+	tn.victim.BindUDPExpect(40000, id, &rejected, handler)
+	tn.net.Snapshot()
+	tn.victim.BindUDP(40000, handler)
+	send("xx")
+	check("rebound without a filter", []string{"id", "id!", "id", "xx"}, 3, 8)
+
+	tn.net.Reset(2)
+	got, rejected = nil, 0
+	send("xx", "id")
+	check("after Reset", []string{"id"}, 1, 2)
 }

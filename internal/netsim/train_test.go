@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -22,6 +23,10 @@ type trainWorld struct {
 	// whole: the datagrams fit the path, so a delivery ends only where
 	// a loss does, whatever the sender's IP-IDs.
 	whole bool
+	// rejected is the receiving socket's filter counter, and traced the
+	// number of Trace events a counted twin saw.
+	rejected uint64
+	traced   uint64
 }
 
 // arrival is one datagram seen by the receiving socket: its delivery,
@@ -37,9 +42,10 @@ func (w *trainWorld) logf(format string, args ...any) {
 	w.log = append(w.log, fmt.Sprintf(format, args...))
 }
 
-// counters renders every host's and the network's packet counters.
+// counters renders every host's and the network's packet counters and
+// the receiving socket's filter counter.
 func (w *trainWorld) counters() string {
-	s := fmt.Sprintf("net offered=%d delivered=%d dropped=%d", w.net.Offered, w.net.Delivered, w.net.Dropped)
+	s := fmt.Sprintf("net offered=%d delivered=%d dropped=%d rejected=%d", w.net.Offered, w.net.Delivered, w.net.Dropped, w.rejected)
 	for _, h := range w.net.hostOrder {
 		s += fmt.Sprintf("; %s sent=%d recv=%d udp=%d icmp=%d suppressed=%d",
 			h.Name, h.Sent, h.Received, h.UDPDeliveredLocal, h.ICMPSent, h.ICMPSuppressed)
@@ -55,9 +61,46 @@ type trainCase struct {
 	name  string
 	n     int
 	setup func(w *trainWorld) (from *Host, src, dst netip.Addr, payload []byte)
-	// closeAfter closes the receiving port after this many datagrams
-	// (0 = never).
-	closeAfter int
+	// closeAfter closes the receiving port after its handler got this
+	// many datagrams, and rebindAfter binds it again, without a filter,
+	// to the same handler (0 = never).
+	closeAfter, rebindAfter int
+	// filtered binds the receiving port with BindUDPExpect for ID
+	// expect, counting in trainWorld.rejected.
+	filtered bool
+	expect   uint16
+}
+
+// twin says how runTwin sends a case's datagrams and what observes
+// them.
+type twin int
+
+const (
+	// separate sends them as SendUDPSpoofed calls and logs every Trace
+	// event.
+	separate twin = iota
+	// traced sends one train and logs every Trace event.
+	traced
+	// counted sends one train under a Trace that only counts events,
+	// which keeps every datagram on the per-datagram receive path.
+	counted
+	// untraced sends one train with no Trace, so the network may count
+	// runs of datagrams in one step.
+	untraced
+)
+
+// idPayload is a train payload whose IDs count up from id.
+func idPayload(id uint16) []byte {
+	return append(binary.BigEndian.AppendUint16(nil, id), " a spoofed DNS response"...)
+}
+
+// spend sends k probes from src to a closed port of the victim, which
+// arrive just ahead of a train the attacker sends next and take k of
+// the victim's ICMP tokens.
+func (w *trainWorld) spend(src netip.Addr, k int) {
+	for range k {
+		w.atk.SendUDPSpoofed(src, 53, w.victim.Addr, 9, []byte("probe"))
+	}
 }
 
 func TestTrainEquivalentToSends(t *testing.T) {
@@ -121,10 +164,16 @@ func TestTrainEquivalentToSends(t *testing.T) {
 			copy(big, dns)
 			return w.atk, w.ns.Addr, w.victim.Addr, big
 		}},
+		{name: "ID filter: the match mid-train closes the port", n: 300, filtered: true, expect: 0x1032, closeAfter: 1, setup: fromID(0x1000)},
+		{name: "ID filter: no match", n: 300, filtered: true, expect: 0x0fff, setup: fromID(0x1000)},
+		{name: "ID filter: the match at datagram 0", n: 100, filtered: true, expect: 0x1000, closeAfter: 1, setup: fromID(0x1000)},
+		{name: "ID filter: the match at the last datagram", n: 100, filtered: true, expect: 0x1063, closeAfter: 1, setup: fromID(0x1000)},
+		{name: "ID filter: IDs wrap past 0xffff", n: 100, filtered: true, expect: 0x0010, closeAfter: 1, setup: fromID(0xffe0)},
+		{name: "ID filter: the match rebinds without a filter", n: 100, filtered: true, expect: 0x1020, rebindAfter: 1, setup: fromID(0x1000)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			train, sends := runTwin(t, tc, true), runTwin(t, tc, false)
-			sameLog(t, "train", train, sends)
+			train, sends := runTwin(t, tc, traced), runTwin(t, tc, separate)
+			sameLog(t, "train", "sends", train, sends)
 			if train.net.Offered < uint64(tc.n) {
 				t.Fatalf("%d packets offered for a %d-datagram train", train.net.Offered, tc.n)
 			}
@@ -133,38 +182,186 @@ func TestTrainEquivalentToSends(t *testing.T) {
 	}
 }
 
-// sameLog fails at the first entry where the log of w, which sent as
-// one train or scan (named by how), differs from that of its twin,
-// which sent separately.
-func sameLog(t *testing.T, how string, w, sends *trainWorld) {
+// fromID sends the train from the attacker, spoofing the nameserver,
+// with IDs counting up from id.
+func fromID(id uint16) func(w *trainWorld) (*Host, netip.Addr, netip.Addr, []byte) {
+	return func(w *trainWorld) (*Host, netip.Addr, netip.Addr, []byte) {
+		return w.atk, w.ns.Addr, w.victim.Addr, idPayload(id)
+	}
+}
+
+// TestTrainBulkMatchesPerDatagram runs each case as one train in two
+// identical worlds: one with a Trace that counts events, which keeps
+// every datagram on the per-datagram receive path, and one without,
+// where the network counts runs of datagrams whose fate is fixed in one
+// step. Handler calls (with Datagram.Train and More), every counter, the
+// filter's counter, the ICMP messages every host receives and the
+// sender's next IP-ID must agree.
+func TestTrainBulkMatchesPerDatagram(t *testing.T) {
+	withSetup := func(f func(w *trainWorld)) func(w *trainWorld) (*Host, netip.Addr, netip.Addr, []byte) {
+		return func(w *trainWorld) (*Host, netip.Addr, netip.Addr, []byte) {
+			f(w)
+			return fromID(0x2000)(w)
+		}
+	}
+	tail := func(spent int, mode ICMPLimitMode) func(w *trainWorld) (*Host, netip.Addr, netip.Addr, []byte) {
+		return withSetup(func(w *trainWorld) {
+			w.victim.Cfg.ICMPLimitMode = mode
+			w.spend(w.ns.Addr, spent)
+		})
+	}
+	// switchAfterSpending empties the global bucket, then switches the
+	// victim to mode at the instant the train arrives, before it does.
+	switchAfterSpending := func(mode ICMPLimitMode) func(w *trainWorld) (*Host, netip.Addr, netip.Addr, []byte) {
+		return withSetup(func(w *trainWorld) {
+			w.spend(w.ns.Addr, 50)
+			w.net.Clock.At(w.net.latencyBetween(w.atkAS, w.victimAS), func() { w.victim.Cfg.ICMPLimitMode = mode })
+		})
+	}
+	for _, tc := range []trainCase{
+		{name: "ID filter: the match mid-train closes the port", n: 3000, filtered: true, expect: 0x2400, closeAfter: 1, setup: fromID(0x2000)},
+		{name: "ID filter: no match", n: 3000, filtered: true, expect: 0x1fff, setup: fromID(0x2000)},
+		{name: "ID filter: the match at datagram 0", n: 300, filtered: true, expect: 0x2000, closeAfter: 1, setup: fromID(0x2000)},
+		{name: "ID filter: the match at the last datagram", n: 300, filtered: true, expect: 0x212b, closeAfter: 1, setup: fromID(0x2000)},
+		{name: "ID filter: IDs wrap past 0xffff", n: 300, filtered: true, expect: 0x0040, closeAfter: 1, setup: fromID(0xff80)},
+		{name: "ID filter: a train longer than the ID space matches twice", n: 70000, filtered: true, expect: 0x2010, setup: fromID(0x2000)},
+		{name: "ID filter: the match rebinds without a filter", n: 300, filtered: true, expect: 0x2040, rebindAfter: 1, setup: fromID(0x2000)},
+		{name: "ID filter: the match rebinds, then closes", n: 300, filtered: true, expect: 0x2040, rebindAfter: 1, closeAfter: 10, setup: fromID(0x2000)},
+		{name: "closed-port tail, global bucket full", n: 300, closeAfter: 20, setup: tail(0, ICMPLimitGlobal)},
+		{name: "closed-port tail, global bucket part spent", n: 300, closeAfter: 20, setup: tail(30, ICMPLimitGlobal)},
+		{name: "closed-port tail, global bucket empty", n: 300, closeAfter: 20, setup: tail(50, ICMPLimitGlobal)},
+		{name: "closed-port tail, per-IP bucket part spent", n: 300, closeAfter: 20, setup: tail(30, ICMPLimitPerIP)},
+		{name: "closed-port tail, per-IP: another source's bucket spent", n: 300, closeAfter: 20, setup: withSetup(func(w *trainWorld) {
+			w.victim.Cfg.ICMPLimitMode = ICMPLimitPerIP
+			w.spend(w.atk.Addr, 50)
+		})},
+		{name: "closed-port tail, per-IP after the global bucket was spent", n: 300, closeAfter: 20, setup: switchAfterSpending(ICMPLimitPerIP)},
+		{name: "closed-port tail, no ICMP limit", n: 300, closeAfter: 20, setup: tail(50, ICMPLimitNone)},
+		{name: "closed-port tail, no ICMP limit after the global bucket was spent", n: 300, closeAfter: 20, setup: switchAfterSpending(ICMPLimitNone)},
+		{name: "closed-port tail, a bucket spent in an earlier window", n: 300, closeAfter: 20, setup: withSetup(func(w *trainWorld) {
+			w.spend(w.ns.Addr, 50)
+			w.net.RunFor(2 * w.victim.ICMPWindow())
+		})},
+		{name: "onRaw receiver", n: 300, filtered: true, expect: 0x2040, closeAfter: 1, setup: withSetup(func(w *trainWorld) {
+			w.victim.OnRaw(func(ip *packet.IPv4) { w.captured = append(w.captured, ip) })
+		})},
+		{name: "larger than the path MTU", n: 100, filtered: true, expect: 0x2040, closeAfter: 1, setup: func(w *trainWorld) (*Host, netip.Addr, netip.Addr, []byte) {
+			w.atk.SetPMTU(w.victim.Addr, 576)
+			big := make([]byte, 1000)
+			copy(big, idPayload(0x2000))
+			return w.atk, w.ns.Addr, w.victim.Addr, big
+		}},
+		{name: "random IP-ID sender", n: 300, filtered: true, expect: 0x2040, closeAfter: 1, setup: withSetup(func(w *trainWorld) {
+			w.atk.Cfg.IPIDMode = IPIDRandom
+		})},
+		{name: "per-destination counter sender", n: 300, filtered: true, expect: 0x2040, closeAfter: 1, setup: withSetup(func(w *trainWorld) {
+			w.atk.Cfg.IPIDMode = IPIDPerDestCounter
+			w.atk.SendUDP(7, w.ns.Addr, 9, []byte("another destination's counter"))
+		})},
+		{name: "injected loss", n: 300, filtered: true, expect: 0x2040, closeAfter: 1, setup: withSetup(func(w *trainWorld) {
+			w.net.SetLossRate(0.3)
+		})},
+		{name: "no route", n: 300, filtered: true, expect: 0x2040, setup: func(w *trainWorld) (*Host, netip.Addr, netip.Addr, []byte) {
+			return w.atk, w.ns.Addr, netip.MustParseAddr("203.0.113.1"), idPayload(0x2000)
+		}},
+		{name: "egress-filtered source", n: 300, filtered: true, expect: 0x2040, setup: func(w *trainWorld) (*Host, netip.Addr, netip.Addr, []byte) {
+			return w.ns, netip.MustParseAddr("9.9.9.9"), w.victim.Addr, idPayload(0x2000)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { sameBulk(t, tc) })
+	}
+}
+
+// sameBulk runs tc untraced and counted and fails where they differ.
+func sameBulk(t *testing.T, tc trainCase) {
 	t.Helper()
-	for i := 0; i < max(len(w.log), len(sends.log)); i++ {
+	bulk, each := runTwin(t, tc, untraced), runTwin(t, tc, counted)
+	sameLog(t, "untraced", "counted", bulk, each)
+	if !slices.Equal(bulk.arrivals, each.arrivals) {
+		t.Fatalf("the handler's datagrams differ in Train, time or More:\nuntraced: %v\ncounted: %v", bulk.arrivals, each.arrivals)
+	}
+}
+
+// FuzzTrainBulk is TestTrainBulkMatchesPerDatagram over generated
+// cases: a train of 1–4096 datagrams whose IDs count up from first, to
+// a socket with or without an ID filter for expect, whose handler
+// closes or rebinds the port (without a filter) at the first datagram
+// it gets that carries expect, or does neither; the victim's ICMP
+// limit mode and the tokens spoofed probes took from the train's
+// source just before it; and the sender's IP-ID mode.
+//
+//	go test -run '^$' -fuzz FuzzTrainBulk -fuzztime 30s ./internal/netsim
+func FuzzTrainBulk(f *testing.F) {
+	f.Add(uint16(3000), uint16(0x2000), true, uint16(0x2400), uint8(1), uint8(0), uint8(0), uint8(0))
+	f.Add(uint16(300), uint16(0xff80), true, uint16(0x0040), uint8(2), uint8(1), uint8(20), uint8(1))
+	f.Add(uint16(300), uint16(0x2000), false, uint16(0x2014), uint8(1), uint8(0), uint8(50), uint8(2))
+	f.Fuzz(func(t *testing.T, n, first uint16, filtered bool, expect uint16, atMatch, icmp, spent, ipid uint8) {
+		tc := trainCase{n: int(n)%4096 + 1, filtered: filtered, expect: expect, setup: func(w *trainWorld) (*Host, netip.Addr, netip.Addr, []byte) {
+			w.victim.Cfg.ICMPLimitMode = ICMPLimitMode(icmp % 3)
+			w.atk.Cfg.IPIDMode = IPIDMode(ipid % 3)
+			w.spend(w.ns.Addr, int(spent)%64)
+			return fromID(first)(w)
+		}}
+		// A filtered handler gets the match first; an unfiltered one
+		// gets it after every datagram before it.
+		at := 1
+		if !filtered {
+			at = int(expect-first) + 1
+		}
+		switch atMatch % 3 {
+		case 1:
+			tc.closeAfter = at
+		case 2:
+			tc.rebindAfter = at
+		}
+		sameBulk(t, tc)
+	})
+}
+
+// sameLog fails at the first entry where the log of w, named how,
+// differs from that of its twin, named twinHow.
+func sameLog(t *testing.T, how, twinHow string, w, twin *trainWorld) {
+	t.Helper()
+	for i := 0; i < max(len(w.log), len(twin.log)); i++ {
 		var a, b string
 		if i < len(w.log) {
 			a = w.log[i]
 		}
-		if i < len(sends.log) {
-			b = sends.log[i]
+		if i < len(twin.log) {
+			b = twin.log[i]
 		}
 		if a != b {
-			t.Fatalf("log entry %d of %d/%d:\n%s: %s\nsends: %s", i, len(w.log), len(sends.log), how, a, b)
+			t.Fatalf("log entry %d of %d/%d:\n%s: %s\n%s: %s", i, len(w.log), len(twin.log), how, a, twinHow, b)
 		}
 	}
 }
 
-// runTwin builds a fresh world, sends tc's datagrams — as one train or
-// as a loop of SendUDPSpoofed calls with the ID patched into the
-// payload — runs the clock dry and returns the world with its log
-// completed by the packets the hooks kept, the counters and the
-// sender's next IP-ID.
-func runTwin(t *testing.T, tc trainCase, train bool) *trainWorld {
+// runTwin builds a fresh world, sends tc's datagrams as how says — as
+// one train, or as a loop of SendUDPSpoofed calls with the ID patched
+// into the payload — runs the clock dry and returns the world with its
+// log completed by the packets the hooks kept, the counters and the
+// sender's next IP-ID. Every host logs the ICMP messages it receives,
+// which quote the datagram that drew them.
+func runTwin(t *testing.T, tc trainCase, how twin) *trainWorld {
 	w := &trainWorld{testNet: build(t)}
+	for _, h := range w.net.hostOrder {
+		h.OnICMP(func(src netip.Addr, msg *packet.ICMP) {
+			w.logf("icmp %v>%s type=%d code=%d % x", src, h.Name, msg.Type, msg.Code, msg.Payload)
+		})
+	}
 	from, src, dst, payload := tc.setup(w)
-	w.net.Trace = func(ev TraceEvent) {
-		w.logf("trace %v %v>%v proto=%d size=%d intercept=%v", ev.At, ev.From, ev.To, ev.Proto, ev.Size, ev.Intercept)
+	delivered := w.net.Delivered // by the setup, before any Trace
+	switch how {
+	case separate, traced:
+		w.net.Trace = func(ev TraceEvent) {
+			w.logf("trace %v %v>%v proto=%d size=%d intercept=%v", ev.At, ev.From, ev.To, ev.Proto, ev.Size, ev.Intercept)
+		}
+	case counted:
+		w.net.Trace = func(TraceEvent) { w.traced++ }
 	}
 	got := 0
-	w.victim.BindUDP(40000, func(dg Datagram) {
+	var recv UDPHandler
+	recv = func(dg Datagram) {
 		got++
 		w.arrivals = append(w.arrivals, arrival{dg.Train, binary.BigEndian.Uint16(dg.Payload), w.net.Clock.Now(), dg.More})
 		w.logf("udp %v:%d % x", dg.Src, dg.SrcPort, dg.Payload)
@@ -174,12 +371,20 @@ func runTwin(t *testing.T, tc trainCase, train bool) *trainWorld {
 		if got == tc.closeAfter {
 			w.victim.CloseUDP(40000)
 		}
-	})
+		if got == tc.rebindAfter {
+			w.victim.BindUDP(40000, recv)
+		}
+	}
+	if tc.filtered {
+		w.victim.BindUDPExpect(40000, tc.expect, &w.rejected, recv)
+	} else {
+		w.victim.BindUDP(40000, recv)
+	}
 	w.whole = packet.IPv4HeaderLen+packet.UDPHeaderLen+len(payload) <= from.PMTUTo(dst)
-	at := w.net.latencyBetween(from.ASN, w.victimAS)
+	at := w.net.Clock.Now() + w.net.latencyBetween(from.ASN, w.victimAS)
 	w.net.Clock.At(at, func() { w.logf("scheduled before the send") })
 	pending := w.net.Clock.Pending()
-	if train {
+	if how != separate {
 		from.SendUDPTrain(src, 53, dst, 40000, payload, tc.n)
 		if p := w.net.Clock.Pending() - pending; w.whole && w.net.lossRate == 0 && p > 1 {
 			t.Fatalf("a lossless train is %d pending events, want at most one", p)
@@ -196,6 +401,9 @@ func runTwin(t *testing.T, tc trainCase, train bool) *trainWorld {
 	w.net.Clock.At(at, func() { w.logf("scheduled after the send") })
 	w.net.Run()
 	conserved(t, w.net)
+	if how == counted && w.traced != w.net.Delivered-delivered {
+		t.Fatalf("Trace saw %d of %d deliveries", w.traced, w.net.Delivered-delivered)
+	}
 	for _, ip := range w.captured {
 		b, err := ip.Serialize(nil)
 		if err != nil {
@@ -361,7 +569,7 @@ func TestScanEquivalentToSends(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			scan, sends := runScanTwin(t, tc, true), runScanTwin(t, tc, false)
-			sameLog(t, "scan", scan, sends)
+			sameLog(t, "scan", "sends", scan, sends)
 			checkScan(t, scan)
 			checkScan(t, sends)
 		})

@@ -1,7 +1,6 @@
 package resolver
 
 import (
-	"encoding/binary"
 	"net/netip"
 	"time"
 
@@ -234,15 +233,10 @@ func (f *Forwarder) exchange(upTXID uint16, wire []byte, onResp func(*dnswire.Me
 func (f *Forwarder) exchangeUDP(upTXID uint16, wire []byte, onResp func(*dnswire.Message)) {
 	done := false
 	var port uint16
-	port = f.Host.BindUDP(0, func(resp netsim.Datagram) {
+	// The socket drops a datagram with the wrong TXID, as every check
+	// below would, and keeps spoof floods off the Unpack path.
+	port = f.Host.BindUDPExpect(0, upTXID, nil, func(resp netsim.Datagram) {
 		if done || resp.Src != f.Upstream || resp.SrcPort != 53 {
-			return
-		}
-		// TXID precheck on the raw header: wrong-ID and unparseable
-		// datagrams are both dropped silently below, so skipping the
-		// parse for a mismatched ID is behaviour-identical and keeps
-		// spoof floods off the Unpack path.
-		if len(resp.Payload) < 2 || binary.BigEndian.Uint16(resp.Payload) != upTXID {
 			return
 		}
 		msg, err := dnswire.Unpack(resp.Payload)
@@ -337,11 +331,8 @@ func StubQuery(host *netsim.Host, server netip.Addr, name string, typ dnswire.Ty
 	}
 	done := false
 	var port uint16
-	port = host.BindUDP(0, func(dg netsim.Datagram) {
+	port = host.BindUDPExpect(0, txid, nil, func(dg netsim.Datagram) {
 		if done || dg.Src != server || dg.SrcPort != 53 {
-			return
-		}
-		if len(dg.Payload) < 2 || binary.BigEndian.Uint16(dg.Payload) != txid {
 			return
 		}
 		msg, err := dnswire.Unpack(dg.Payload)

@@ -342,7 +342,7 @@ func (r *Resolver) sendAttempt(inf *inflight) {
 		sess := r.Host.Session(inf.ns, t.Port(), t.SessionConfig())
 		sess.Call(wire, func(resp []byte) { r.handleSession(inf, attempt, resp) })
 	} else {
-		inf.port = r.Host.BindUDP(0, inf.recv)
+		inf.port = r.Host.BindUDPExpect(0, inf.txid, &r.SpoofRejected, inf.recv)
 		if r.TestHookQuerySent != nil {
 			r.TestHookQuerySent(inf.qname, inf.key.typ, inf.ns, inf.port, inf.txid)
 		}
@@ -428,22 +428,19 @@ func (r *Resolver) onTimeout(inf *inflight, attempt int) {
 func (r *Resolver) handleUpstream(inf *inflight, src netip.Addr, srcPort uint16, payload []byte) {
 	// One handler serves every attempt of the resolution: a port is
 	// always closed before attempt advances, so a delivery can only
-	// reach the binding of the current attempt.
+	// reach the binding of the current attempt. The socket's ID filter
+	// (BindUDPExpect) has already counted a datagram with the wrong
+	// TXID in SpoofRejected, the one count the checks below would have
+	// given it, whichever failed first. It counts it even once the
+	// resolution is done, which is exact because inf.done is set only
+	// after the port is closed (by Reset, with the network's port table
+	// rewound beside it).
 	if inf.done {
 		return
 	}
 	// Address/port check: the response must come from the server we
 	// asked (RFC 5452 §3).
 	if src != inf.ns || srcPort != 53 {
-		r.SpoofRejected++
-		return
-	}
-	// Cheap TXID precheck before parsing: a flood datagram with the
-	// wrong ID would be rejected after Unpack anyway (wrong-ID and
-	// unparseable both count as SpoofRejected), so bailing on the raw
-	// header bytes is observationally identical and skips the parse on
-	// the attacker's ~64k wrong guesses per poisoning window.
-	if len(payload) < 2 || binary.BigEndian.Uint16(payload) != inf.txid {
 		r.SpoofRejected++
 		return
 	}
